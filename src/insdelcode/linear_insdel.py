@@ -18,14 +18,13 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import DecodeFailure, ParameterError, UsageError
+from .errors import DecodeFailure, InsdelError, ParameterError, UsageError
 from .gf import field_from_json
 from .hamming_ecc import ConcatenatedBinaryCode, LinearCode
-from .separator import SeparatorSequence, construct_explicit, sample_separator
+from .separator import (SeparatorSequence, _diagonal_dp, _traceback,
+                        construct_explicit, sample_separator)
 
 InnerCode = Union[LinearCode, ConcatenatedBinaryCode]
-
-_NEG = np.int64(-1) << 40
 
 
 @dataclass(frozen=True)
@@ -65,47 +64,22 @@ def match_dp(p: Sequence[int], received: Sequence[int]) -> Matching:
     f[i][j] is the best objective over matchings ending with blank i matched
     to nonzero j.  The gap indicator only depends on whether the predecessor
     lies on the same p_i - q_j diagonal, so each transition is one prefix
-    max plus one same-diagonal prefix max.  Reconstruction keeps every match
-    of the argmax chain (including zero-indicator ones) and breaks ties
-    toward the lexicographically smallest cell.
+    max plus one same-diagonal max.  p and q are strictly increasing, so a
+    same-diagonal predecessor in an earlier row also lies in an earlier
+    column: the same-diagonal max is a running max per diagonal, updated
+    once per row, and the DP costs O(|p| |q|) cells computed a row at a time.
+    Reconstruction keeps every match of the argmax chain (including
+    zero-indicator ones) and breaks ties toward the lexicographically
+    smallest cell.
     """
     p = np.asarray(p, dtype=np.int64)
-    received = np.asarray(received, dtype=np.int64)
-    q = np.flatnonzero(received != 0) + 1
-    nc, n1 = len(p), len(q)
-    f = np.full((nc + 1, n1 + 1), _NEG, dtype=np.int64)
-    f[0, 0] = 0
-    sentinel = np.int64((int(p[-1]) if nc else 0) + (int(q[-1]) if n1 else 0) + 7)
-    D = np.full((nc + 1, n1 + 1), sentinel, dtype=np.int64)
-    D[0, 0] = 0
-    if nc and n1:
-        D[1:, 1:] = p[:, None] - q[None, :]
-    pre = np.full((nc + 1, n1 + 1), _NEG, dtype=np.int64)
-    pre[0, 0] = 0
-    for j in range(1, n1 + 1):
-        pre[0, j] = 0
-    for i in range(1, nc + 1):
-        pre[i, 0] = 0
-        for j in range(1, n1 + 1):
-            base = pre[i - 1, j - 1]
-            hit = np.where(D[:i, :j] == D[i, j], f[:i, :j], _NEG).max()
-            val = max(base, hit + 1)
-            f[i, j] = val
-            pre[i, j] = max(pre[i - 1, j], pre[i, j - 1], val)
-
-    obj = int(f.max())
-    flat = int(np.flatnonzero(f == obj)[0])
-    i, j = divmod(flat, n1 + 1)
-    chain: list[tuple[int, int]] = []
-    while (i, j) != (0, 0):
-        chain.append((i, j))
-        target = f[i, j]
-        cand = np.where(D[:i, :j] == D[i, j], f[:i, :j] + 1, f[:i, :j])
-        pred = int(np.flatnonzero(cand == target)[0])
-        i, j = divmod(pred, j)
-    chain.reverse()
+    q = np.flatnonzero(np.asarray(received, dtype=np.int64) != 0) + 1
+    D, f, cell = _diagonal_dp(p, q, origin=True)
+    chain = _traceback(D, f, cell) if cell else []
+    obj = int(f[cell]) if cell else 0
     cost, obj_check = cost_and_obj(chain, list(p), list(q))
-    assert obj_check == obj, "DP objective disagrees with reconstruction"
+    if obj_check != obj:
+        raise InsdelError("DP objective disagrees with reconstruction")
     return Matching(tuple(chain), obj, cost)
 
 

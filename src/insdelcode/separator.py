@@ -10,10 +10,11 @@ i != j yet its position gap to the previous match coincides on both sides
 whose every self-matching has at most L undesired matches are the
 synchronization skeleton of the explicit insdel code.
 
-This module provides the uniform sampler, an exact O(n^4) verifier for the
-maximum undesired count, the windowed local check that makes the seed search
-cheap, and the derandomized construction that scans a small-bias generator's
-seed space for a verified sequence.
+This module provides the uniform sampler, an exact verifier for the maximum
+undesired count (a dynamic program over n^2 cells, computed a row at a time),
+the windowed local check that makes the seed search cheap, and the
+derandomized construction that scans a small-bias generator's seed space for
+a verified sequence.
 """
 
 from __future__ import annotations
@@ -98,33 +99,19 @@ def max_undesired(seq: SeparatorSequence, budget_n: int = MAX_VERIFY_N) -> int:
 
     DP over the last match (i, j): the undesired indicator only depends on
     whether the predecessor lies on the same p_i - p_j diagonal, so each cell
-    needs a prefix max and a same-diagonal prefix max of earlier cells.
+    needs a prefix max and a same-diagonal max of earlier cells.  p is
+    strictly increasing, so a same-diagonal cell in an earlier row also lies
+    in an earlier column: the same-diagonal max is a running max per
+    diagonal, updated once per row, and the DP costs O(n^2) cells computed a
+    row at a time.  Identity matches (i, i) are never undesired and never
+    raise the count, so this is the bad-only search without a stop.
     """
     n = seq.n
     if n > budget_n:
         raise CapacityError(f"max_undesired budget is n <= {budget_n}, got {n}")
     p = seq.positions()
-    D = p[:, None] - p[None, :]
-    g = np.zeros((n, n), dtype=np.int64)
-    pre = np.full((n, n), _NEG, dtype=np.int64)
-    best = 0
-    for i in range(n):
-        for j in range(n):
-            val = np.int64(0)  # starting a matching at (i, j) is never undesired
-            if i > 0 and j > 0:
-                if pre[i - 1, j - 1] > val:
-                    val = pre[i - 1, j - 1]
-                if i != j:
-                    hit = np.where(D[:i, :j] == D[i, j], g[:i, :j], _NEG).max()
-                    if hit >= 0 and hit + 1 > val:
-                        val = hit + 1
-            g[i, j] = val
-            if val > best:
-                best = int(val)
-            up = pre[i - 1, j] if i > 0 else _NEG
-            left = pre[i, j - 1] if j > 0 else _NEG
-            pre[i, j] = max(up, left, val)
-    return best
+    _, g, cell = _diagonal_dp(p, p, origin=False)
+    return int(g[cell]) if cell else 0
 
 
 @dataclass(frozen=True)
@@ -175,46 +162,67 @@ def local_check(seq: SeparatorSequence, lam: int, c: float = 4.0) -> LocalCheckR
 def _bad_only_max_undesired(p: np.ndarray, stop_at: int):
     """Max undesired count over monotone matchings of bad matches only,
     stopping early at stop_at.  Returns (count, witness 1-based chain)."""
-    n = len(p)
-    D = p[:, None] - p[None, :]
-    g = np.full((n, n), _NEG, dtype=np.int64)
-    pre = np.full((n, n), _NEG, dtype=np.int64)
-    best, best_cell = 0, None
+    D, g, cell = _diagonal_dp(p, p, origin=False, stop_at=stop_at)
+    if cell is None:
+        return 0, []
+    return int(g[cell]), _traceback(D, g, cell)
+
+
+def _diagonal_dp(p: np.ndarray, q: np.ndarray, origin: bool,
+                 stop_at: Optional[int] = None):
+    """Same-diagonal prefix-max DP over the cells (i, j) of p x q.
+
+    g[i, j] is the best chain ending at (i, j) when a step along one
+    p_i - q_j diagonal scores 1: max(0, g of any cell above-left, 1 + g of
+    any cell above-left on its diagonal).  With origin, a virtual cell
+    before all others starts diagonal 0 at value 0 (the matcher's p_0 = q_0
+    = 0); without it, diagonal-0 cells (a self-matching's identity matches)
+    are left out.  p and q strictly increase, so a diagonal's cells in
+    earlier rows lie in earlier columns: one running max per diagonal,
+    written back after each row, replaces the scan of the rectangle.
+    Returns (D, g, cell): cell is the first in row-major order reaching
+    stop_at, else the first holding the positive maximum, else None.
+    """
+    D = p[:, None] - q[None, :]
+    n, m = D.shape
+    g = np.full((n, m), _NEG, dtype=np.int64)
+    if g.size == 0:
+        return D, g, None
+    diagonals, ids = np.unique(D, return_inverse=True)
+    ids = ids.reshape(n, m)
+    running = np.full(len(diagonals), _NEG, dtype=np.int64)
+    zero = int(np.searchsorted(diagonals, 0))
+    if origin and zero < len(diagonals) and diagonals[zero] == 0:
+        running[zero] = 0
+    pre = np.full(m, _NEG, dtype=np.int64)  # prefix max over earlier rows
     for i in range(n):
-        for j in range(n):
-            if i == j:
-                up = pre[i - 1, j] if i > 0 else _NEG
-                left = pre[i, j - 1] if j > 0 else _NEG
-                pre[i, j] = max(up, left)
-                continue
-            val = np.int64(0)
-            if i > 0 and j > 0:
-                if pre[i - 1, j - 1] > val:
-                    val = pre[i - 1, j - 1]
-                hit = np.where(D[:i, :j] == D[i, j], g[:i, :j], _NEG).max()
-                if hit >= 0 and hit + 1 > val:
-                    val = hit + 1
-            g[i, j] = val
-            if val > best:
-                best, best_cell = int(val), (i, j)
-                if best >= stop_at:
-                    return best, _chain_traceback(D, g, best_cell)
-            up = pre[i - 1, j] if i > 0 else _NEG
-            left = pre[i, j - 1] if j > 0 else _NEG
-            pre[i, j] = max(up, left, val)
-    witness = _chain_traceback(D, g, best_cell) if best_cell else []
-    return best, witness
+        row = np.maximum(running[ids[i]] + 1, 0)
+        np.maximum(row[1:], pre[:-1], out=row[1:])
+        if not origin:
+            row[D[i] == 0] = _NEG
+        g[i] = row
+        running[ids[i]] = row  # row >= running there: no max needed
+        pre = np.maximum.accumulate(np.maximum(pre, row))
+        if stop_at is not None and pre[-1] >= stop_at:
+            return D, g, (i, int(np.argmax(row >= stop_at)))
+    flat = int(np.argmax(g))
+    return D, g, divmod(flat, m) if g.flat[flat] > 0 else None
 
 
-def _chain_traceback(D, g, cell) -> list[tuple[int, int]]:
+def _traceback(D, g, cell) -> list[tuple[int, int]]:
+    """1-based chain ending at cell, back to a start of the DP.
+
+    A cell starts its chain when its value is what the origin (diagonal 0,
+    value 0) would give it: 1 on diagonal 0, else 0.  Otherwise the
+    predecessor is the first earlier cell, row-major, whose value (plus one
+    on the same diagonal) equals the cell's.
+    """
     i, j = cell
     chain = [(i + 1, j + 1)]
-    while g[i, j] > 0:
-        target = g[i, j]
+    while g[i, j] != int(D[i, j] == 0):
         rect = g[:i, :j]
         cand = np.where(D[:i, :j] == D[i, j], rect + 1, rect)
-        hits = np.flatnonzero(cand == target)
-        i, j = divmod(int(hits[0]), rect.shape[1])
+        i, j = divmod(int(np.flatnonzero(cand == g[i, j])[0]), j)
         chain.append((i + 1, j + 1))
     chain.reverse()
     return chain

@@ -1,10 +1,13 @@
 """Independent brute-force oracles the tests check the package against.
 
 Everything here is deliberately written as plain recursion/enumeration over
-definitions, sharing no code with the implementations under test.
+definitions, or kept as a frozen copy of an earlier, slower algorithm,
+sharing no code with the implementations under test.
 """
 
 from functools import lru_cache
+
+import numpy as np
 
 
 def lcs_recursive(x, y) -> int:
@@ -141,3 +144,119 @@ def pairwise_min_hamming(words) -> int:
             if best is None or d < best:
                 best = d
     return best
+
+
+# Reference copies of the quartic same-diagonal DPs the package used before
+# its row-at-a-time kernel: at every cell they take the same-diagonal max
+# with a mask over the whole rectangle of earlier cells.  The kernel must
+# reproduce their values, matchings and witnesses exactly.
+
+_REF_NEG = np.int64(-1) << 40
+
+
+def match_dp_reference(p, received):
+    """Quartic blank matcher; returns (matches, obj, cost)."""
+    p = np.asarray(p, dtype=np.int64)
+    received = np.asarray(received, dtype=np.int64)
+    q = np.flatnonzero(received != 0) + 1
+    nc, n1 = len(p), len(q)
+    f = np.full((nc + 1, n1 + 1), _REF_NEG, dtype=np.int64)
+    f[0, 0] = 0
+    sentinel = np.int64((int(p[-1]) if nc else 0) + (int(q[-1]) if n1 else 0) + 7)
+    D = np.full((nc + 1, n1 + 1), sentinel, dtype=np.int64)
+    D[0, 0] = 0
+    if nc and n1:
+        D[1:, 1:] = p[:, None] - q[None, :]
+    pre = np.full((nc + 1, n1 + 1), _REF_NEG, dtype=np.int64)
+    pre[0, :] = 0
+    for i in range(1, nc + 1):
+        pre[i, 0] = 0
+        for j in range(1, n1 + 1):
+            base = pre[i - 1, j - 1]
+            hit = np.where(D[:i, :j] == D[i, j], f[:i, :j], _REF_NEG).max()
+            val = max(base, hit + 1)
+            f[i, j] = val
+            pre[i, j] = max(pre[i - 1, j], pre[i, j - 1], val)
+
+    obj = int(f.max())
+    i, j = divmod(int(np.flatnonzero(f == obj)[0]), n1 + 1)
+    chain = []
+    while (i, j) != (0, 0):
+        chain.append((i, j))
+        target = f[i, j]
+        cand = np.where(D[:i, :j] == D[i, j], f[:i, :j] + 1, f[:i, :j])
+        i, j = divmod(int(np.flatnonzero(cand == target)[0]), j)
+    chain.reverse()
+    cost, prev = 0, (0, 0)
+    for (i, j) in chain:
+        cost += int(p[i - 1] - prev[0] != q[j - 1] - prev[1])
+        prev = (int(p[i - 1]), int(q[j - 1]))
+    return tuple(chain), obj, cost
+
+
+def max_undesired_reference(p) -> int:
+    """Quartic maximum undesired count over all monotone self-matchings."""
+    p = np.asarray(p, dtype=np.int64)
+    n = len(p)
+    D = p[:, None] - p[None, :]
+    g = np.zeros((n, n), dtype=np.int64)
+    pre = np.full((n, n), _REF_NEG, dtype=np.int64)
+    best = 0
+    for i in range(n):
+        for j in range(n):
+            val = np.int64(0)
+            if i > 0 and j > 0:
+                if pre[i - 1, j - 1] > val:
+                    val = pre[i - 1, j - 1]
+                if i != j:
+                    hit = np.where(D[:i, :j] == D[i, j], g[:i, :j], _REF_NEG).max()
+                    if hit >= 0 and hit + 1 > val:
+                        val = hit + 1
+            g[i, j] = val
+            best = max(best, int(val))
+            up = pre[i - 1, j] if i > 0 else _REF_NEG
+            left = pre[i, j - 1] if j > 0 else _REF_NEG
+            pre[i, j] = max(up, left, val)
+    return best
+
+
+def bad_only_max_undesired_reference(p, stop_at):
+    """Quartic bad-only chain search; returns (count, 1-based witness)."""
+    p = np.asarray(p, dtype=np.int64)
+    n = len(p)
+    D = p[:, None] - p[None, :]
+    g = np.full((n, n), _REF_NEG, dtype=np.int64)
+    pre = np.full((n, n), _REF_NEG, dtype=np.int64)
+
+    def traceback(i, j):
+        chain = [(i + 1, j + 1)]
+        while g[i, j] > 0:
+            rect = g[:i, :j]
+            cand = np.where(D[:i, :j] == D[i, j], rect + 1, rect)
+            i, j = divmod(int(np.flatnonzero(cand == g[i, j])[0]), j)
+            chain.append((i + 1, j + 1))
+        chain.reverse()
+        return chain
+
+    best, best_cell = 0, None
+    for i in range(n):
+        for j in range(n):
+            up = pre[i - 1, j] if i > 0 else _REF_NEG
+            left = pre[i, j - 1] if j > 0 else _REF_NEG
+            if i == j:
+                pre[i, j] = max(up, left)
+                continue
+            val = np.int64(0)
+            if i > 0 and j > 0:
+                if pre[i - 1, j - 1] > val:
+                    val = pre[i - 1, j - 1]
+                hit = np.where(D[:i, :j] == D[i, j], g[:i, :j], _REF_NEG).max()
+                if hit >= 0 and hit + 1 > val:
+                    val = hit + 1
+            g[i, j] = val
+            if val > best:
+                best, best_cell = int(val), (i, j)
+                if best >= stop_at:
+                    return best, traceback(i, j)
+            pre[i, j] = max(up, left, val)
+    return best, traceback(*best_cell) if best_cell else []

@@ -10,7 +10,7 @@ from insdelcode.linear_insdel import (InsdelCode, SystematicInsdelCode,
                                       build_explicit, build_monte_carlo,
                                       cost_and_obj, match_dp)
 from insdelcode.separator import SeparatorSequence
-from oracles import match_best_obj_dfs
+from oracles import match_best_obj_dfs, match_dp_reference
 
 
 def identity_code(q, n):
@@ -74,6 +74,33 @@ def test_match_dp_against_dfs_oracle():
         assert got.obj == want
         cost, obj = cost_and_obj(got.matches, list(p), list(q))
         assert (cost, obj) == (got.cost, got.obj)
+
+
+def test_match_dp_bit_identical_to_quartic_reference():
+    # Matchings, objectives and costs, tie-breaks included, on random
+    # position lists and on codewords hit by a few insertions/deletions.
+    rng = np.random.default_rng(31)
+    for trial in range(320):
+        nc = 1 if trial < 10 else int(rng.integers(1, 41))
+        p = np.cumsum(rng.integers(1, 5, nc))
+        if trial % 2:
+            z = np.zeros(int(p[-1]), dtype=np.int64)
+            z[p - 1] = rng.integers(0, 3, nc)
+            received = list(z)
+            for _ in range(int(rng.integers(0, 6))):
+                if received and rng.random() < 0.5:
+                    del received[int(rng.integers(0, len(received)))]
+                else:
+                    received.insert(int(rng.integers(0, len(received) + 1)),
+                                    int(rng.integers(0, 3)))
+        else:
+            n1 = 0 if trial % 10 == 0 else int(rng.integers(0, 41))
+            q = np.cumsum(rng.integers(1, 5, n1))
+            received = np.zeros(int(q[-1]) if n1 else int(rng.integers(0, 4)),
+                                dtype=np.int64)
+            received[q - 1] = 1 + rng.integers(0, 3, n1)
+        got = match_dp(p, received)
+        assert (got.matches, got.obj, got.cost) == match_dp_reference(p, received)
 
 
 def test_cost_and_obj_examples():

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from insdelcode.errors import (CapacityError, ParameterError, UsageError)
-from insdelcode.separator import (SeparatorSequence, construct_explicit,
-                                  local_check, max_undesired,
-                                  sample_separator, undesired_count)
-from oracles import max_undesired_dfs, max_undesired_memo
+from insdelcode.separator import (SeparatorSequence, _bad_only_max_undesired,
+                                  construct_explicit, local_check,
+                                  max_undesired, sample_separator,
+                                  undesired_count)
+from oracles import (bad_only_max_undesired_reference, max_undesired_dfs,
+                     max_undesired_memo, max_undesired_reference)
 
 
 def test_sample_forced_runs_and_positions():
@@ -50,6 +52,30 @@ def test_max_undesired_matches_memo_oracle_nle14():
         runs = tuple(int(v) for v in rng.integers(1, a + 1, n))
         assert max_undesired(SeparatorSequence(runs, a)) == \
             max_undesired_memo(runs)
+
+
+def test_max_undesired_matches_memo_oracle_n20_30():
+    rng = np.random.default_rng(12)
+    for _ in range(6):
+        n = int(rng.integers(20, 31))
+        a = int(rng.integers(1, 7))
+        runs = tuple(int(v) for v in rng.integers(1, a + 1, n))
+        assert max_undesired(SeparatorSequence(runs, a)) == \
+            max_undesired_memo(runs)
+
+
+def test_verifier_and_chain_search_bit_identical_to_quartic_reference():
+    # Values, and (count, witness) of the bad-only search at several stops.
+    rng = np.random.default_rng(32)
+    for trial in range(300):
+        n = 1 if trial < 5 else int(rng.integers(1, 41))
+        a = int(rng.integers(1, 9))
+        seq = SeparatorSequence(tuple(int(v) for v in rng.integers(1, a + 1, n)), a)
+        p = seq.positions()
+        assert max_undesired(seq) == max_undesired_reference(p)
+        for stop_at in (1, 2, 3, 100):
+            assert _bad_only_max_undesired(p, stop_at) == \
+                bad_only_max_undesired_reference(p, stop_at)
 
 
 def test_max_undesired_budget():
@@ -116,9 +142,12 @@ def test_local_check_soundness_against_full_verifier():
         lam = int(rng.integers(1, max(2, n // 3)))
         a = int(rng.integers(2, 40))
         seq = sample_separator(n, a, [13, n, lam, a])
-        if local_check(seq, lam).passed:
+        res = local_check(seq, lam)
+        if res.passed:
             checked += 1
             assert max_undesired(seq) <= lam
+        else:
+            assert undesired_count(seq, res.witness["matching"]) == res.lam0
     assert checked > 10  # the implication was actually exercised
 
 
