@@ -142,12 +142,6 @@ class AffineCode:
             bits.extend(_int_to_bits(sym, self.l0))
         return bits
 
-    def encode_message_symbols(self, syms: Sequence[int]) -> np.ndarray:
-        bits = []
-        for sym in syms:
-            bits.extend(_int_to_bits(sym, self.l0))
-        return self.encode(bits)
-
     def to_json(self) -> dict:
         return {"kind": "affine", "epsilon": self.epsilon, "t": self.t,
                 "kappa": self.kappa, "inner": self.inner.to_json(),

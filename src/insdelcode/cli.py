@@ -20,7 +20,7 @@ from . import harness
 from .affine_insdel import AffineCode, affine_params, affine_params_sweep
 from .editops import insdel_channel
 from .errors import (CapacityError, ConstructionFailure, DecodeFailure,
-                     InsdelError, UsageError)
+                     InsdelError, InvalidSpecError, UsageError)
 from .formats import read_json, read_values, write_json, write_values
 from .gf import BinaryField, Field, PrimeField, field_from_json
 from .hamming_ecc import LinearCode, random_linear_code, rs_build
@@ -50,14 +50,19 @@ def _add_field_flags(parser) -> None:
 
 def _load_code(path: str):
     spec = read_json(path)
-    kind = spec.get("kind")
-    if kind == "insdel":
-        return InsdelCode.from_json(spec)
-    if kind == "systematic-insdel":
-        return SystematicInsdelCode.from_json(spec)
-    if kind == "affine":
-        return AffineCode.from_json(spec)
-    return LinearCode.from_json(spec)
+    try:
+        kind = spec.get("kind")
+        if kind == "insdel":
+            return InsdelCode.from_json(spec)
+        if kind == "systematic-insdel":
+            return SystematicInsdelCode.from_json(spec)
+        if kind == "affine":
+            return AffineCode.from_json(spec)
+        return LinearCode.from_json(spec)
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        # a spec of the wrong shape fails wherever the parser first
+        # touches it; report it as a usage error, not a traceback
+        raise InvalidSpecError(f"malformed code spec {path}: {exc}") from exc
 
 
 def _cmd_field_validate(args) -> int:

@@ -13,8 +13,6 @@ import struct
 from pathlib import Path
 from typing import Sequence, Union
 
-import numpy as np
-
 from .errors import UsageError
 
 PathLike = Union[str, Path]
@@ -89,7 +87,3 @@ def write_json(path: PathLike, obj: dict) -> None:
 
 def read_json(path: PathLike) -> dict:
     return json.loads(Path(path).read_text())
-
-
-def to_ndarray(values: Sequence[int]) -> np.ndarray:
-    return np.asarray(list(values), dtype=np.int64)

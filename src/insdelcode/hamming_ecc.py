@@ -10,6 +10,7 @@ callers that need a binary alphabet.
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -20,6 +21,29 @@ from .gf import BinaryField, Field, field_from_json
 
 BRUTE_FORCE_CAP = 1 << 20  # largest q^m a brute-force decode will scan
 EXHAUSTIVE_CAP = 4096      # largest q^m for exact distance computation
+
+
+def codeword_table(field: Field, generator: linalg.Matrix,
+                   cap: int) -> np.ndarray:
+    """Codewords of all q^m messages, one per row.
+
+    Row r encodes the r-th message in lexicographic (itertools.product)
+    order, so the message of row r is the base-q expansion of r, most
+    significant symbol first.  Raises CapacityError when q^m > cap.
+    """
+    q, m = field.q, len(generator)
+    if q ** m > cap:
+        raise CapacityError(f"q^m = {q ** m} exceeds {cap}")
+    return np.array([linalg.matvec(msg, generator, field)
+                     for msg in itertools.product(range(q), repeat=m)],
+                    dtype=np.int64)
+
+
+def min_distance(field: Field, generator: linalg.Matrix) -> int:
+    """Exact minimum distance = minimum nonzero codeword weight
+    (q^m <= EXHAUSTIVE_CAP)."""
+    table = codeword_table(field, generator, EXHAUSTIVE_CAP)
+    return int((table[1:] != 0).sum(axis=1).min())
 
 
 def _poly_divmod(num: list[int], den: list[int], field: Field):
@@ -64,6 +88,7 @@ class LinearCode:
     def __init__(self, field: Field, generator: linalg.Matrix, d: int,
                  strategy: str = "brute-force-nearest",
                  eval_points: Optional[list[int]] = None):
+        generator = [[field.check(v) for v in row] for row in generator]
         m = len(generator)
         n = len(generator[0]) if m else 0
         if m < 1 or n < 1:
@@ -79,7 +104,7 @@ class LinearCode:
         if strategy not in ("reed-solomon", "brute-force-nearest"):
             raise UsageError(f"unknown decoder strategy {strategy!r}")
         self.field = field
-        self.generator = [list(map(int, row)) for row in generator]
+        self.generator = generator
         self.n = n
         self.m = m
         self.d = d
@@ -95,34 +120,16 @@ class LinearCode:
         return linalg.matvec([self.field.check(v) for v in x],
                              self.generator, self.field)
 
-    def messages(self) -> Iterator[list[int]]:
-        """All q^m messages in lexicographic order (small codes only)."""
-        q = self.field.q
-        if q ** self.m > EXHAUSTIVE_CAP:
-            raise CapacityError(f"q^m = {q ** self.m} exceeds {EXHAUSTIVE_CAP}")
-        msg = [0] * self.m
-        while True:
-            yield list(msg)
-            k = self.m - 1
-            while k >= 0 and msg[k] == q - 1:
-                msg[k] = 0
-                k -= 1
-            if k < 0:
-                return
-            msg[k] += 1
-
-    def codewords(self) -> Iterator[tuple[list[int], list[int]]]:
-        for msg in self.messages():
-            yield msg, self.encode(msg)
+    def codewords(self) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+        """(message, codeword) pairs in lexicographic message order
+        (q^m <= EXHAUSTIVE_CAP)."""
+        table = codeword_table(self.field, self.generator, EXHAUSTIVE_CAP)
+        return zip(itertools.product(range(self.field.q), repeat=self.m),
+                   table.tolist())
 
     def min_distance(self) -> int:
         """Exact minimum distance = minimum nonzero codeword weight."""
-        best = self.n
-        for msg, cw in self.codewords():
-            if any(msg):
-                w = sum(1 for v in cw if v != 0)
-                best = min(best, w)
-        return best
+        return min_distance(self.field, self.generator)
 
     # -- decoding ---------------------------------------------------------
 
@@ -155,23 +162,8 @@ class LinearCode:
 
     def _codeword_table(self) -> np.ndarray:
         if getattr(self, "_cw_cache", None) is None:
-            if self.field.q ** self.m > BRUTE_FORCE_CAP:
-                raise CapacityError(
-                    f"brute-force decode over q^m = {self.field.q ** self.m} "
-                    "refused")
-            rows = []
-            q = self.field.q
-            msg = [0] * self.m
-            while True:
-                rows.append(self.encode(msg))
-                k = self.m - 1
-                while k >= 0 and msg[k] == q - 1:
-                    msg[k] = 0
-                    k -= 1
-                if k < 0:
-                    break
-                msg[k] += 1
-            self._cw_cache = np.array(rows, dtype=np.int64)
+            self._cw_cache = codeword_table(self.field, self.generator,
+                                            BRUTE_FORCE_CAP)
         return self._cw_cache
 
     def _message_from_index(self, idx: int) -> list[int]:
@@ -292,16 +284,15 @@ def random_linear_code(field: Field, m: int, n: int, seed,
     """Full-rank random code with its exact minimum distance computed.
 
     Resamples (seed, attempt) until the generator has rank m; requires
-    q^m <= 4096 for the distance computation.
+    q^m <= EXHAUSTIVE_CAP for the distance computation.
     """
     if field.q ** m > EXHAUSTIVE_CAP:
         raise CapacityError(f"q^m = {field.q ** m} exceeds {EXHAUSTIVE_CAP}")
     for attempt in range(max_attempts):
         gen = random_generator(field, m, n, [seed, attempt])
         if linalg.rank(gen, field) == m:
-            code = LinearCode(field, gen, 1, "brute-force-nearest")
-            dist = code.min_distance()
-            return LinearCode(field, gen, dist, "brute-force-nearest")
+            return LinearCode(field, gen, min_distance(field, gen),
+                              "brute-force-nearest")
     raise ParameterError(f"no full-rank generator found in {max_attempts} attempts")
 
 
@@ -349,22 +340,24 @@ class ConcatenatedBinaryCode:
         self.outer = outer
         self.b = outer.field.degree
         self.gf2 = BinaryField(1)
-        self.inner_generator = [list(map(int, r)) for r in inner_generator]
-        self.inner_len = len(inner_generator[0])
+        self.inner_generator = [[self.gf2.check(v) for v in r]
+                                for r in inner_generator]
+        if (len(self.inner_generator) != self.b
+                or linalg.rank(self.inner_generator, self.gf2) != self.b):
+            raise ParameterError(
+                f"inner generator must be a full-rank binary matrix with "
+                f"b={self.b} rows")
+        self.inner_len = len(self.inner_generator[0])
         self.inner_d = inner_d
         self.field = self.gf2
         self.n = outer.n * self.inner_len
         self.m = outer.m * self.b
         self.kappa = -(-inner_d // 2) * ((outer.d - 1) // 2 + 1) - 1
         self.d = 2 * self.kappa + 1
-        self._inner_table = self._build_inner_table()
-
-    def _build_inner_table(self) -> dict[tuple, int]:
-        table = {}
-        for sym in range(1 << self.b):
-            bits = [(sym >> k) & 1 for k in range(self.b)]
-            table[tuple(linalg.matvec(bits, self.inner_generator, self.gf2))] = sym
-        return table
+        # row s encodes symbol s: reversing the generator rows makes bit k
+        # of s (not the k-th most significant digit) multiply row k
+        self._inner_table = codeword_table(
+            self.gf2, self.inner_generator[::-1], BRUTE_FORCE_CAP)
 
     def encode(self, x: Sequence[int]) -> list[int]:
         if len(x) != self.m:
@@ -373,11 +366,7 @@ class ConcatenatedBinaryCode:
         for i in range(self.outer.m):
             chunk = x[i * self.b:(i + 1) * self.b]
             syms.append(sum(int(bit) << k for k, bit in enumerate(chunk)))
-        out = []
-        for sym in self.outer.encode(syms):
-            bits = [(sym >> k) & 1 for k in range(self.b)]
-            out.extend(linalg.matvec(bits, self.inner_generator, self.gf2))
-        return out
+        return self._inner_table[self.outer.encode(syms)].ravel().tolist()
 
     def decode(self, received: Sequence[int],
                erasures: Optional[Sequence[int]] = None) -> list[int]:
@@ -385,17 +374,12 @@ class ConcatenatedBinaryCode:
             raise UsageError("concatenated decoder does not take erasures")
         if len(received) != self.n:
             raise UsageError(f"received length {len(received)} != n={self.n}")
-        syms = []
-        for i in range(self.outer.n):
-            block = tuple(int(v) for v in received[i * self.inner_len:
-                                                   (i + 1) * self.inner_len])
-            best_sym, best_dist = 0, self.inner_len + 1
-            for cw, sym in self._inner_table.items():
-                dist = sum(a != b for a, b in zip(cw, block))
-                if dist < best_dist:
-                    best_sym, best_dist = sym, dist
-            syms.append(best_sym)
-        outer_msg = self.outer.decode(syms)
+        blocks = np.asarray(received, dtype=np.int64).reshape(
+            self.outer.n, self.inner_len)
+        # nearest inner codeword per block; argmin breaks ties toward the
+        # smallest symbol
+        syms = (blocks[:, None] != self._inner_table).sum(axis=-1).argmin(axis=1)
+        outer_msg = self.outer.decode(syms.tolist())
         bits = []
         for sym in outer_msg:
             bits.extend((sym >> k) & 1 for k in range(self.b))
@@ -409,6 +393,16 @@ class ConcatenatedBinaryCode:
             rows.append(self.encode(unit))
         return rows
 
+    def to_json(self) -> dict:
+        return {"strategy": self.strategy, "outer": self.outer.to_json(),
+                "inner_generator": self.inner_generator,
+                "inner_d": self.inner_d}
+
+    @classmethod
+    def from_json(cls, spec: dict) -> "ConcatenatedBinaryCode":
+        return cls(LinearCode.from_json(spec["outer"]),
+                   spec["inner_generator"], int(spec["inner_d"]))
+
 
 def concatenated_binary_code(b: int, n_out: int, m_out: int, inner_len: int,
                              seed, max_attempts: int = 64) -> ConcatenatedBinaryCode:
@@ -420,8 +414,7 @@ def concatenated_binary_code(b: int, n_out: int, m_out: int, inner_len: int,
         gen = random_generator(gf2, b, inner_len, [seed, attempt])
         if linalg.rank(gen, gf2) != b:
             continue
-        probe = LinearCode(gf2, gen, 1, "brute-force-nearest")
-        dist = probe.min_distance()
+        dist = min_distance(gf2, gen)
         if best is None or dist > best[1]:
             best = (gen, dist)
     if best is None:

@@ -18,11 +18,11 @@ import numpy as np
 
 from .bounds import entropy
 from .editops import insdel_channel, lcs_length, min_pairwise_edit_distance
-from .errors import CapacityError, DecodeFailure, UsageError
+from .errors import DecodeFailure, UsageError
 from .gf import Field
-from .hamming_ecc import (EXHAUSTIVE_CAP, full_rank_probability,
-                          random_generator, systematic_transform)
-from .linalg import matvec
+from .hamming_ecc import (EXHAUSTIVE_CAP, codeword_table,
+                          full_rank_probability, random_generator,
+                          systematic_transform)
 from .linear_insdel import InsdelCode, SystematicInsdelCode
 
 
@@ -68,24 +68,6 @@ def read_csv_rows(path) -> tuple[dict, list[str], list[list[str]]]:
     return config, columns, rows
 
 
-def _enumerate_codewords(field: Field, gen) -> list[tuple[int, ...]]:
-    m = len(gen)
-    q = field.q
-    if q ** m > EXHAUSTIVE_CAP:
-        raise CapacityError(f"q^m = {q ** m} exceeds {EXHAUSTIVE_CAP}")
-    words = []
-    msg = [0] * m
-    while True:
-        words.append(tuple(matvec(msg, gen, field)))
-        k = m - 1
-        while k >= 0 and msg[k] == q - 1:
-            msg[k] = 0
-            k -= 1
-        if k < 0:
-            return words
-        msg[k] += 1
-
-
 def random_code_distance_experiment(field: Field, n: int, m: int, delta: float,
                                     trials: int, base_seed: int = 0
                                     ) -> ExperimentResult:
@@ -104,7 +86,7 @@ def random_code_distance_experiment(field: Field, n: int, m: int, delta: float,
     for trial in range(trials):
         seed = base_seed + trial
         gen = random_generator(field, m, n, seed)
-        words = _enumerate_codewords(field, gen)
+        words = codeword_table(field, gen, EXHAUSTIVE_CAP)
         max_lcs = 0
         for i in range(len(words)):
             for j in range(i + 1, len(words)):
@@ -146,13 +128,14 @@ def systematic_distance_experiment(field: Field, n: int, m: int, trials: int,
             attempts += 1
             gen = random_generator(field, m, n, [seed, attempts])
             sys_gen = systematic_transform(gen, field)
-        words = _enumerate_codewords(field, gen)
-        sys_words = _enumerate_codewords(field, sys_gen)
-        sets_equal = int(set(words) == set(sys_words))
-        min_ed = min_pairwise_edit_distance(sorted(set(words))) \
-            if len(set(words)) > 1 else 0
-        min_ed_sys = min_pairwise_edit_distance(sorted(set(sys_words))) \
-            if len(set(sys_words)) > 1 else 0
+        words, sys_words = (
+            set(map(tuple, codeword_table(field, g, EXHAUSTIVE_CAP).tolist()))
+            for g in (gen, sys_gen))
+        sets_equal = int(words == sys_words)
+        min_ed = min_pairwise_edit_distance(sorted(words)) \
+            if len(words) > 1 else 0
+        min_ed_sys = min_pairwise_edit_distance(sorted(sys_words)) \
+            if len(sys_words) > 1 else 0
         rows.append([trial, seed, ok_first, attempts, sets_equal,
                      min_ed, min_ed_sys])
     rate = first_try / trials

@@ -39,13 +39,6 @@ class _ArrayOps:
             return np.where((a == 0) | (b == 0), 0, out)
         return a * b % self.field.q
 
-    def scale(self, c: int, a):
-        if c == 0:
-            return np.zeros_like(a)
-        if self.binary:
-            return np.where(a == 0, 0, self.exp[self.log[a] + self.field.log_table[c]])
-        return a * c % self.field.q
-
     def sub(self, a, b):
         if self.binary:
             return a ^ b
@@ -69,7 +62,7 @@ def _rref_np(rows: Matrix, field: Field, ncols: Optional[int] = None):
         if p != r:
             M[[r, p]] = M[[p, r]]
         piv_inv = field.inv(int(M[r, c]))
-        M[r] = ops.scale(piv_inv, M[r])
+        M[r] = ops.mul(np.int64(piv_inv), M[r])
         factors = M[:, c].copy()
         factors[r] = 0
         M = ops.sub(M, ops.mul(factors[:, None], M[r][None, :]))

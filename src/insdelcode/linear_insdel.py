@@ -156,7 +156,10 @@ class InsdelCode:
 
     @classmethod
     def from_json(cls, spec: dict) -> "InsdelCode":
-        inner = LinearCode.from_json(spec["inner"])
+        inner_cls = (ConcatenatedBinaryCode
+                     if spec["inner"].get("strategy") == "concatenated"
+                     else LinearCode)
+        inner = inner_cls.from_json(spec["inner"])
         sep = SeparatorSequence.from_json(spec["separator"])
         return cls(inner, sep, float(spec.get("f", 0.01)))
 

@@ -260,3 +260,32 @@ def bad_only_max_undesired_reference(p, stop_at):
                     return best, traceback(i, j)
             pre[i, j] = max(up, left, val)
     return best, traceback(*best_cell) if best_cell else []
+
+
+def concatenated_inner_symbols_reference(inner_generator, b, received):
+    """Frozen copy of the concatenated code's earlier inner decoder.
+
+    It keyed a dict by the inner codeword of every b-bit symbol (bit k of
+    the symbol multiplies generator row k), inserted in symbol order, and
+    scanned it per block with a strict '<', so ties go to the smallest
+    symbol.  Returns the nearest symbol of each block.
+    """
+    table = {}
+    for sym in range(1 << b):
+        cw = [0] * len(inner_generator[0])
+        for k in range(b):
+            if (sym >> k) & 1:
+                cw = [c ^ g for c, g in zip(cw, inner_generator[k])]
+        table[tuple(cw)] = sym
+    inner_len = len(inner_generator[0])
+    syms = []
+    for i in range(len(received) // inner_len):
+        block = tuple(int(v) for v in received[i * inner_len:
+                                               (i + 1) * inner_len])
+        best_sym, best_dist = 0, inner_len + 1
+        for cw, sym in table.items():
+            dist = sum(a != v for a, v in zip(cw, block))
+            if dist < best_dist:
+                best_sym, best_dist = sym, dist
+        syms.append(best_sym)
+    return syms

@@ -168,6 +168,25 @@ def test_experiment_run(tmp_path):
     assert run("experiment", "run", "--config", cfg2, "--out", out2) == 0
 
 
+@pytest.mark.parametrize("spec", [
+    {"kind": "insdel", "inner": 5},
+    [1, 2],
+    {"field": {"kind": "prime", "modulus": 5}, "generator": 3, "d": 1},
+    {"field": {"kind": "binary", "q": 4, "modulus": 7},
+     "generator": [[9, 1]], "d": 1},
+])
+def test_malformed_code_spec_exits_2(tmp_path, capsys, spec):
+    code_file = tmp_path / "code.json"
+    code_file.write_text(json.dumps(spec))
+    word = tmp_path / "word.json"
+    write_values(word, [1, 0])
+    rc = run("insdel", "decode", "--code", code_file, "--in", word,
+             "--out", tmp_path / "out.json")
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "malformed code spec" in err and "Traceback" not in err
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     assert run("insdel", "corrupt", "--in", tmp_path / "nope.json",
                "--out", tmp_path / "x.json", "--seed", "1") == 2

@@ -7,12 +7,13 @@ from insdelcode.errors import (CapacityError, DecodeFailure, ParameterError,
                                UsageError)
 from insdelcode.gf import BinaryField, PrimeField
 from insdelcode.hamming_ecc import (ConcatenatedBinaryCode, LinearCode,
-                                    concatenated_binary_code,
-                                    full_rank_probability, random_generator,
-                                    random_linear_code, rs_build,
-                                    systematic_transform)
+                                    codeword_table, concatenated_binary_code,
+                                    full_rank_probability, min_distance,
+                                    random_generator, random_linear_code,
+                                    rs_build, systematic_transform)
 from insdelcode.linalg import identity, matvec, rank
-from oracles import nearest_codeword_scan, pairwise_min_hamming
+from oracles import (concatenated_inner_symbols_reference,
+                     nearest_codeword_scan, pairwise_min_hamming)
 
 
 def test_rs_build_examples():
@@ -126,6 +127,28 @@ def test_rs_min_distance_exhaustive():
     assert code.min_distance() == 5
 
 
+@pytest.mark.parametrize("field,m,n", [(PrimeField(5), 3, 6),
+                                       (BinaryField(3), 2, 7)])
+def test_codeword_table_rows_follow_product_order(field, m, n):
+    code = random_linear_code(field, m, n, 4)
+    table = codeword_table(field, code.generator, field.q ** m)
+    msgs = list(itertools.product(range(field.q), repeat=m))
+    assert table.shape == (field.q ** m, n)
+    assert [list(row) for row in table] == [code.encode(msg) for msg in msgs]
+    assert [(list(a), b) for a, b in code.codewords()] == \
+        [(list(msg), code.encode(msg)) for msg in msgs]
+    weights = [sum(v != 0 for v in code.encode(msg)) for msg in msgs[1:]]
+    assert min_distance(field, code.generator) == min(weights) == code.d
+
+
+def test_codeword_table_capacity():
+    field = PrimeField(3)
+    gen = random_generator(field, 4, 5, 0)
+    assert len(codeword_table(field, gen, 81)) == 81
+    with pytest.raises(CapacityError):
+        codeword_table(field, gen, 80)
+
+
 def test_random_generator_contracts():
     field = PrimeField(3)
     a = random_generator(field, 4, 6, 42)
@@ -196,6 +219,40 @@ def test_concatenated_binary_code_roundtrip_and_linearity():
         for p in pos:
             bad[p] ^= 1
         assert code.decode(bad) == msg
+
+
+@pytest.mark.parametrize("b,n_out,m_out,inner_len,seed", [
+    (4, 10, 4, 9, 5), (3, 7, 3, 6, 0), (3, 6, 2, 4, 4), (2, 3, 1, 5, 1)])
+def test_concatenated_decode_matches_dict_scan_reference(b, n_out, m_out,
+                                                         inner_len, seed):
+    code = concatenated_binary_code(b, n_out, m_out, inner_len, seed)
+    rng = np.random.default_rng(seed)
+    for trial in range(40):
+        msg = [int(v) for v in rng.integers(0, 2, code.m)]
+        bad = list(code.encode(msg))
+        # up to well past the radius, so ties and failures occur
+        nerr = int(rng.integers(0, min(code.n, 3 * code.kappa + 5) + 1))
+        for p in rng.choice(code.n, size=nerr, replace=False):
+            bad[p] ^= 1
+        syms = concatenated_inner_symbols_reference(code.inner_generator,
+                                                    code.b, bad)
+        try:
+            want = [(s >> k) & 1 for s in code.outer.decode(syms)
+                    for k in range(code.b)]
+        except DecodeFailure:
+            with pytest.raises(DecodeFailure):
+                code.decode(bad)
+        else:
+            assert code.decode(bad) == want
+
+
+def test_concatenated_json_round_trip():
+    code = concatenated_binary_code(b=3, n_out=7, m_out=3, inner_len=6, seed=0)
+    again = ConcatenatedBinaryCode.from_json(code.to_json())
+    assert again.to_json() == code.to_json()
+    assert again.generator_rows() == code.generator_rows()
+    with pytest.raises(ParameterError):
+        ConcatenatedBinaryCode(code.outer, code.inner_generator[:2], 2)
 
 
 def test_code_json_round_trip():

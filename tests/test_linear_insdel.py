@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,9 @@ def test_binary_concatenated_flavor():
     assert code.decode(z) == msg
     zp = insdel_channel(z, 1, 0, 5, alphabet=2)
     assert code.decode(zp) == msg
+    again = InsdelCode.from_json(json.loads(json.dumps(code.to_json())))
+    assert list(again.encode(msg)) == list(z)
+    assert again.decode(zp) == msg
 
 
 def test_radius_fraction_default_and_json():
