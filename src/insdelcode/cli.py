@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import bounds as bounds_mod
@@ -48,21 +49,30 @@ def _add_field_flags(parser) -> None:
                         help="irreducible polynomial bitmask (optional)")
 
 
-def _load_code(path: str):
+def _load_spec(path, parse, what: str):
+    """Read a JSON file and parse it; a spec of the wrong shape fails
+    wherever the parser first touches it, so report it as a usage error
+    (InvalidSpecError, exit 2), not a traceback."""
     spec = read_json(path)
     try:
-        kind = spec.get("kind")
-        if kind == "insdel":
-            return InsdelCode.from_json(spec)
-        if kind == "systematic-insdel":
-            return SystematicInsdelCode.from_json(spec)
-        if kind == "affine":
-            return AffineCode.from_json(spec)
-        return LinearCode.from_json(spec)
+        return parse(spec)
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
-        # a spec of the wrong shape fails wherever the parser first
-        # touches it; report it as a usage error, not a traceback
-        raise InvalidSpecError(f"malformed code spec {path}: {exc}") from exc
+        raise InvalidSpecError(f"malformed {what} {path}: {exc}") from exc
+
+
+def _parse_code(spec: dict):
+    kind = spec.get("kind")
+    if kind == "insdel":
+        return InsdelCode.from_json(spec)
+    if kind == "systematic-insdel":
+        return SystematicInsdelCode.from_json(spec)
+    if kind == "affine":
+        return AffineCode.from_json(spec)
+    return LinearCode.from_json(spec)
+
+
+def _load_code(path: str):
+    return _load_spec(path, _parse_code, "code spec")
 
 
 def _cmd_field_validate(args) -> int:
@@ -203,7 +213,8 @@ def _cmd_separator_build(args) -> int:
 
 
 def _cmd_separator_verify(args) -> int:
-    seq = SeparatorSequence.from_json(read_json(args.infile))
+    seq = _load_spec(args.infile, SeparatorSequence.from_json,
+                     "separator spec")
     lam = max_undesired(seq, budget_n=args.budget)
     target = getattr(args, "lambda")
     check = local_check(seq, target, c=args.c) \
@@ -224,7 +235,7 @@ def _cmd_sync_build(args) -> int:
 
 
 def _cmd_sync_verify(args) -> int:
-    s = SyncString.from_json(read_json(args.infile))
+    s = _load_spec(args.infile, SyncString.from_json, "sync spec")
     ok, triple = verify_eta(s, budget_n=args.budget)
     print(json.dumps({"n": s.n, "eta": s.eta, "ok": ok,
                       "violation": triple}, sort_keys=True))
@@ -249,28 +260,36 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
-def _cmd_experiment_run(args) -> int:
-    cfg = read_json(args.config)
+def _parse_experiment(cfg: dict):
+    """Experiment config -> the harness call it asks for, not yet run."""
     kind = cfg.get("kind")
     base_seed = int(cfg.get("base_seed", 0))
     if kind == "random_code_distance":
-        result = harness.random_code_distance_experiment(
+        return partial(
+            harness.random_code_distance_experiment,
             field_from_json(cfg["field"]), int(cfg["n"]), int(cfg["m"]),
             float(cfg["delta"]), int(cfg["trials"]), base_seed)
-    elif kind == "systematic_distance":
-        result = harness.systematic_distance_experiment(
+    if kind == "systematic_distance":
+        return partial(
+            harness.systematic_distance_experiment,
             field_from_json(cfg["field"]), int(cfg["n"]), int(cfg["m"]),
             int(cfg["trials"]), base_seed)
-    elif kind == "decode_success_sweep":
-        code = _load_code(cfg["code_file"])
-        result = harness.decode_success_sweep(
-            code, int(cfg["k_max"]), int(cfg["trials_per_k"]), base_seed)
-    elif kind == "systematic_insdel_wrapper":
-        code = _load_code(cfg["code_file"])
-        result = harness.systematic_insdel_wrapper_experiment(
-            code, int(cfg["trials"]), base_seed, kappa=cfg.get("kappa"))
-    else:
-        raise UsageError(f"unknown experiment kind {kind!r}")
+    if kind == "decode_success_sweep":
+        return partial(
+            harness.decode_success_sweep, _load_code(cfg["code_file"]),
+            int(cfg["k_max"]), int(cfg["trials_per_k"]), base_seed)
+    if kind == "systematic_insdel_wrapper":
+        return partial(
+            harness.systematic_insdel_wrapper_experiment,
+            _load_code(cfg["code_file"]), int(cfg["trials"]), base_seed,
+            kappa=cfg.get("kappa"))
+    raise UsageError(f"unknown experiment kind {kind!r}")
+
+
+def _cmd_experiment_run(args) -> int:
+    experiment = _load_spec(args.config, _parse_experiment,
+                            "experiment config")
+    result = experiment()
     result.write_csv(args.out)
     if not result.ok:
         failed = [k for k, v in result.assertions.items() if not v]

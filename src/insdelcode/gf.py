@@ -86,12 +86,6 @@ def poly_gcd(a: int, b: int) -> int:
     return a
 
 
-def _poly_pow2k(x: int, k: int, m: int) -> int:
-    for _ in range(k):
-        x = poly_mulmod(x, x, m)
-    return x
-
-
 def _prime_factors(n: int) -> set[int]:
     fs, d = set(), 2
     while d * d <= n:
@@ -348,19 +342,11 @@ class BinaryField(Field):
     def _find_generator(self) -> int:
         order = self.q - 1
         factors = _prime_factors(order) if order > 1 else set()
+        # the tables are not built yet, so self.pow multiplies by poly_mulmod
         for g in range(2, self.q):
-            if all(self._pow_int(g, order // p) != 1 for p in factors):
+            if all(self.pow(g, order // p) != 1 for p in factors):
                 return g
         return 1  # q = 2
-
-    def _pow_int(self, a: int, e: int) -> int:
-        r, base = 1, a
-        while e:
-            if e & 1:
-                r = poly_mulmod(r, base, self.modulus)
-            base = poly_mulmod(base, base, self.modulus)
-            e >>= 1
-        return r
 
     def add(self, a, b):
         return a ^ b

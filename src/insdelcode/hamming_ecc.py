@@ -69,13 +69,6 @@ def _poly_divmod(num: list[int], den: list[int], field: Field):
     return quot, num
 
 
-def _poly_eval(coeffs: Sequence[int], x: int, field: Field) -> int:
-    acc = 0
-    for c in reversed(coeffs):
-        acc = field.add(field.mul(acc, x), c)
-    return acc
-
-
 class LinearCode:
     """An (n, m, d) linear code given by a full-rank generator matrix.
 

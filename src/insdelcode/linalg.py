@@ -1,9 +1,9 @@
 """Dense linear algebra over the package's finite fields.
 
-Matrices are lists of row lists holding canonical ints.  Fields whose
-elements fit comfortably in int64 (primes, and GF(2^l) with exp/log tables)
-are eliminated with vectorized numpy row operations; big extension fields
-(e.g. GF(2^100)) fall back to the same algorithms on Python ints.
+Matrices are lists of row lists holding canonical ints.  Elimination and
+products run as numpy row operations for every field: on int64 arrays when
+elements fit a machine word (primes below 2^31, and GF(2^l) with exp/log
+tables), otherwise on object arrays of Python ints (e.g. GF(2^100)).
 """
 
 from __future__ import annotations
@@ -12,31 +12,32 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .gf import BinaryField, Field, PrimeField
+from .gf import BinaryField, Field
 
 Matrix = list[list[int]]
 
 
-def _is_fast(field: Field) -> bool:
-    if isinstance(field, PrimeField):
-        return field.q < (1 << 31)
-    return isinstance(field, BinaryField) and field.exp_table is not None
-
-
 class _ArrayOps:
-    """Elementwise field ops on int64 ndarrays (fast fields only)."""
+    """Elementwise field ops on ndarrays of dtype `self.dtype`: int64 when
+    elements and products fit a machine word, object (Python ints) else."""
 
     def __init__(self, field: Field):
         self.field = field
         self.binary = isinstance(field, BinaryField)
-        if self.binary:
-            self.exp = field.exp_table
-            self.log = field.log_table
+        self.tables = self.binary and field.exp_table is not None
+        if self.tables:
+            self.exp, self.log = field.exp_table, field.log_table
+        elif self.binary:
+            self.poly_mul = np.frompyfunc(field.mul, 2, 1)
+        word = self.tables or not self.binary and field.q < (1 << 31)
+        self.dtype = np.int64 if word else object
 
     def mul(self, a, b):
-        if self.binary:
+        if self.tables:
             out = self.exp[self.log[a] + self.log[b]]
             return np.where((a == 0) | (b == 0), 0, out)
+        if self.binary:
+            return self.poly_mul(a, b)
         return a * b % self.field.q
 
     def sub(self, a, b):
@@ -45,9 +46,12 @@ class _ArrayOps:
         return (a - b) % self.field.q
 
 
-def _rref_np(rows: Matrix, field: Field, ncols: Optional[int] = None):
+def rref(rows: Matrix, field: Field, ncols: Optional[int] = None):
+    """Reduced row echelon form; returns (matrix, pivot column list)."""
+    if not rows:
+        return [], []
     ops = _ArrayOps(field)
-    M = np.array(rows, dtype=np.int64)
+    M = np.array(rows, dtype=ops.dtype)
     nr, nc = M.shape
     limit = nc if ncols is None else ncols
     pivots = []
@@ -61,8 +65,7 @@ def _rref_np(rows: Matrix, field: Field, ncols: Optional[int] = None):
         p = r + int(nz[0])
         if p != r:
             M[[r, p]] = M[[p, r]]
-        piv_inv = field.inv(int(M[r, c]))
-        M[r] = ops.mul(np.int64(piv_inv), M[r])
+        M[r] = ops.mul(field.inv(int(M[r, c])), M[r])
         factors = M[:, c].copy()
         factors[r] = 0
         M = ops.sub(M, ops.mul(factors[:, None], M[r][None, :]))
@@ -71,63 +74,21 @@ def _rref_np(rows: Matrix, field: Field, ncols: Optional[int] = None):
     return [[int(v) for v in row] for row in M], pivots
 
 
-def _rref_py(rows: Matrix, field: Field, ncols: Optional[int] = None):
-    M = [list(row) for row in rows]
-    nr = len(M)
-    nc = len(M[0]) if nr else 0
-    limit = nc if ncols is None else ncols
-    pivots = []
-    r = 0
-    for c in range(limit):
-        if r >= nr:
-            break
-        p = next((i for i in range(r, nr) if M[i][c] != 0), None)
-        if p is None:
-            continue
-        M[r], M[p] = M[p], M[r]
-        inv = field.inv(M[r][c])
-        M[r] = [field.mul(inv, v) for v in M[r]]
-        for i in range(nr):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-    return M, pivots
-
-
-def rref(rows: Matrix, field: Field, ncols: Optional[int] = None):
-    """Reduced row echelon form; returns (matrix, pivot column list)."""
-    if not rows:
-        return [], []
-    if _is_fast(field):
-        return _rref_np(rows, field, ncols)
-    return _rref_py(rows, field, ncols)
-
-
 def rank(rows: Matrix, field: Field) -> int:
     return len(rref(rows, field)[1])
 
 
 def matvec(x: Sequence[int], rows: Matrix, field: Field) -> list[int]:
     """Row vector times matrix: y_j = sum_i x_i * M[i][j]."""
-    if _is_fast(field):
-        ops = _ArrayOps(field)
-        M = np.array(rows, dtype=np.int64)
-        xv = np.array(list(x), dtype=np.int64)
-        prod = ops.mul(xv[:, None], M)
-        if ops.binary:
-            acc = np.bitwise_xor.reduce(prod, axis=0)
-        else:
-            acc = prod.sum(axis=0) % field.q
-        return [int(v) for v in acc]
-    out = [0] * len(rows[0])
-    for xi, row in zip(x, rows):
-        if xi == 0:
-            continue
-        for j, g in enumerate(row):
-            out[j] = field.add(out[j], field.mul(xi, g))
-    return out
+    ops = _ArrayOps(field)
+    M = np.array(rows, dtype=ops.dtype)
+    xv = np.array(list(x), dtype=ops.dtype)
+    prod = ops.mul(xv[:, None], M)
+    if ops.binary:
+        acc = np.bitwise_xor.reduce(prod, axis=0)
+    else:
+        acc = prod.sum(axis=0) % field.q
+    return [int(v) for v in acc]
 
 
 def matmul(a: Matrix, b: Matrix, field: Field) -> Matrix:

@@ -132,7 +132,15 @@ class InsdelCode:
         return y
 
     def decode(self, received: Sequence[int]) -> list[int]:
-        """Match, fill, inner-decode; raises DecodeFailure beyond radius."""
+        """Match, fill, inner-decode; raises DecodeFailure beyond radius.
+
+        A length off by more than kappa needs more than kappa insertions
+        and deletions, so it is rejected before matching.
+        """
+        if abs(len(received) - self.n) > self.kappa:
+            raise DecodeFailure(
+                f"received length {len(received)} is more than kappa="
+                f"{self.kappa} away from n={self.n}")
         matching = self.match(received)
         return self.inner.decode(self.fill_template(received, matching))
 

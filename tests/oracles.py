@@ -289,3 +289,47 @@ def concatenated_inner_symbols_reference(inner_generator, b, received):
                 best_sym, best_dist = sym, dist
         syms.append(best_sym)
     return syms
+
+
+# Frozen copies of the Python-int elimination and product that linalg once
+# ran for fields without word-sized arithmetic (field.mul per element).
+# Reduced row echelon form is canonical, so linalg must match them exactly.
+
+
+def rref_reference(rows, field, ncols=None):
+    """Gauss-Jordan on lists of ints; returns (matrix, pivot columns)."""
+    if not rows:
+        return [], []
+    M = [list(row) for row in rows]
+    nr = len(M)
+    nc = len(M[0]) if nr else 0
+    limit = nc if ncols is None else ncols
+    pivots = []
+    r = 0
+    for c in range(limit):
+        if r >= nr:
+            break
+        p = next((i for i in range(r, nr) if M[i][c] != 0), None)
+        if p is None:
+            continue
+        M[r], M[p] = M[p], M[r]
+        inv = field.inv(M[r][c])
+        M[r] = [field.mul(inv, v) for v in M[r]]
+        for i in range(nr):
+            if i != r and M[i][c] != 0:
+                f = M[i][c]
+                M[i] = [field.sub(v, field.mul(f, w)) for v, w in zip(M[i], M[r])]
+        pivots.append(c)
+        r += 1
+    return M, pivots
+
+
+def matvec_reference(x, rows, field):
+    """Row vector times matrix, one field.mul per nonzero x_i entry."""
+    out = [0] * len(rows[0])
+    for xi, row in zip(x, rows):
+        if xi == 0:
+            continue
+        for j, g in enumerate(row):
+            out[j] = field.add(out[j], field.mul(xi, g))
+    return out

@@ -187,6 +187,26 @@ def test_malformed_code_spec_exits_2(tmp_path, capsys, spec):
     assert "malformed code spec" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, spec", [
+    (("separator", "verify", "--in"), [1, 2]),
+    (("sync", "verify", "--in"), [1, 2]),
+    (("sync", "verify", "--in"),
+     {"symbols": 5, "eta": 0.1, "alphabet_size": 4}),
+    (("experiment", "run", "--out", "out.csv", "--config"), [1]),
+    (("experiment", "run", "--out", "out.csv", "--config"),
+     {"kind": "decode_success_sweep", "code_file": 5}),
+])
+def test_malformed_separator_sync_experiment_spec_exits_2(
+        tmp_path, capsys, monkeypatch, command, spec):
+    monkeypatch.chdir(tmp_path)
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec))
+    rc = run(*command, spec_file)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "malformed" in err and "Traceback" not in err
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     assert run("insdel", "corrupt", "--in", tmp_path / "nope.json",
                "--out", tmp_path / "x.json", "--seed", "1") == 2

@@ -59,18 +59,34 @@ def test_decode_one_error_matches_brute_oracle():
             assert code.decode(bad) == oracle_msg == [1, 1]
 
 
-def test_decode_beyond_radius_is_flagged():
-    code = rs_build(PrimeField(5), 4, 2)  # d=3, corrects 1
-    word = code.encode([1, 1])
-    bad = list(word)
-    bad[0] = (bad[0] + 1) % 5
-    bad[1] = (bad[1] + 2) % 5
-    # two errors are outside the guarantee: failure or a wrong codeword
+def _outcome(code, word, erasures):
     try:
-        got = code.decode(bad)
-        assert got != [1, 1] or True  # any returned message is permitted here
+        return code.decode(word, erasures)
     except DecodeFailure:
-        pass
+        return "failure"
+
+
+def test_decode_beyond_radius_is_flagged():
+    # past the radius a decoder may fail or land on another codeword within
+    # its radius; Berlekamp-Welch must give the nearest-codeword scan's verdict
+    verdicts = set()
+    for field in (PrimeField(13), BinaryField(4)):
+        rs = rs_build(field, 12, 4)  # d = 9
+        brute = rs_build(field, 12, 4, strategy="brute-force-nearest")
+        rng = np.random.default_rng(17)
+        for _ in range(150):
+            word = rs.encode([int(v) for v in field.sample(rng, 4)])
+            n_era = int(rng.integers(0, 6))
+            n_err = int(rng.integers((10 - n_era) // 2, 13 - n_era))
+            pos = rng.permutation(12)
+            era = sorted(int(i) for i in pos[:n_era])
+            for i in pos[n_era:n_era + n_err]:
+                word[i] = field.add(word[i], int(rng.integers(1, field.q)))
+            assert 2 * n_err + n_era > rs.d - 1
+            got = _outcome(rs, word, era)
+            assert got == _outcome(brute, word, era)
+            verdicts.add(got == "failure")
+    assert verdicts == {True, False}  # both failures and miscorrections
 
 
 def test_uncorrupted_roundtrip_strategies():

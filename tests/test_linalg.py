@@ -3,8 +3,10 @@ import pytest
 
 from insdelcode import linalg
 from insdelcode.gf import BinaryField, PrimeField
+from oracles import matvec_reference, rref_reference
 
-FIELDS = [PrimeField(2), PrimeField(7), BinaryField(4), BinaryField(6)]
+FIELDS = [PrimeField(2), PrimeField(7), BinaryField(4), BinaryField(6),
+          BinaryField(100), PrimeField(2**61 - 1)]
 
 
 @pytest.mark.parametrize("field", FIELDS)
@@ -13,7 +15,7 @@ def test_nullspace_vector_solves_system(field):
     for _ in range(60):
         nr = int(rng.integers(1, 7))
         nc = int(rng.integers(nr + 1, nr + 5))
-        M = [[int(v) for v in rng.integers(0, field.q, nc)] for _ in range(nr)]
+        M = [[int(v) for v in field.sample(rng, nc)] for _ in range(nr)]
         u = linalg.nullspace_vector(M, field)
         assert u is not None and any(u)
         for row in M:
@@ -29,7 +31,7 @@ def test_inverse_round_trip(field):
     hit = 0
     for _ in range(60):
         n = int(rng.integers(1, 6))
-        M = [[int(v) for v in rng.integers(0, field.q, n)] for _ in range(n)]
+        M = [[int(v) for v in field.sample(rng, n)] for _ in range(n)]
         inv = linalg.inverse(M, field)
         if inv is None:
             assert linalg.rank(M, field) < n
@@ -41,7 +43,7 @@ def test_inverse_round_trip(field):
 
 def test_python_fallback_matches_numpy_path():
     fast = BinaryField(6)
-    slow = BinaryField(100)  # no tables: python path
+    slow = BinaryField(100)  # no tables: object-dtype arrays
     rng = np.random.default_rng(1)
     M = [[int(v) for v in rng.integers(0, 64, 5)] for _ in range(3)]
     x = [int(v) for v in rng.integers(0, 64, 3)]
@@ -61,6 +63,39 @@ def test_python_fallback_matches_numpy_path():
     for i, c in enumerate(piv):
         assert red[i][c] == 1
         assert all(red[r][c] == 0 for r in range(len(red)) if r != i)
+
+
+@pytest.mark.parametrize("field", [BinaryField(20), BinaryField(100),
+                                   PrimeField(2**61 - 1), PrimeField(7),
+                                   BinaryField(6)])
+def test_matches_python_int_reference(field):
+    rng = np.random.default_rng(23)
+    for trial in range(40):
+        nr, nc = int(rng.integers(1, 8)), int(rng.integers(1, 10))
+        M = [[int(v) for v in field.sample(rng, nc)] for _ in range(nr)]
+        if trial % 2:  # sparse, with zero columns and repeated rows
+            keep = rng.random((nr, nc)) < 0.3
+            M = [[v if k else 0 for v, k in zip(row, ks)]
+                 for row, ks in zip(M, keep)]
+            M.append(list(M[0]))
+        x = [int(v) for v in field.sample(rng, len(M))]
+        ref_red, ref_piv = rref_reference(M, field)
+        assert linalg.rref(M, field) == (ref_red, ref_piv)
+        assert linalg.matvec(x, M, field) == matvec_reference(x, M, field)
+        free = next((c for c in range(nc) if c not in ref_piv), None)
+        u = None
+        if free is not None:
+            u = [0] * nc
+            u[free] = 1
+            for r, c in enumerate(ref_piv):
+                u[c] = field.neg(ref_red[r][free])
+        assert linalg.nullspace_vector(M, field) == u
+        n = min(nr, nc)
+        sq = [row[:n] for row in M[:n]]
+        red, piv = rref_reference([row + ident for row, ident in
+                                   zip(sq, linalg.identity(n))], field, n)
+        expected = [row[n:] for row in red] if len(piv) == n else None
+        assert linalg.inverse(sq, field) == expected
 
 
 def test_rank_of_identity_and_zero():

@@ -126,8 +126,21 @@ def test_decode_roundtrip_and_other_codeword():
 def test_decode_empty_received_total():
     inner = rs_build(PrimeField(7), 6, 2)
     code = build_monte_carlo(inner, seed=3, f=1.0, a=6)
-    # all-zero fill is the zero codeword: decodes to the zero message
-    assert code.decode([]) == [0, 0]
+    # n deletions are far beyond kappa: no confident answer
+    with pytest.raises(DecodeFailure):
+        code.decode([])
+
+
+def test_decode_rejects_length_beyond_radius():
+    code = build_monte_carlo(rs_build(PrimeField(11), 10, 4), seed=0,
+                             f=0.34, a=8)
+    assert code.kappa == 1
+    with pytest.raises(DecodeFailure):
+        code.decode([])
+    z = code.encode([3, 1, 4, 1])
+    with pytest.raises(DecodeFailure):
+        code.decode(z[2:])
+    assert code.decode(z[1:]) == [3, 1, 4, 1]
 
 
 def test_roundtrip_under_channel_and_unmatched_bound():
