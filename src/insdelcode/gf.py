@@ -223,10 +223,20 @@ class Field:
     def elements(self) -> Iterator[int]:
         return iter(range(self.q))
 
+    @property
+    def word_sized(self) -> bool:
+        """True when elements, and the lookups or products that multiply
+        them, fit int64 arrays (so linalg and sample use numpy ints)."""
+        raise NotImplementedError
+
     def sample(self, rng: np.random.Generator, size: Optional[int] = None):
-        """Uniform elements; ndarray for word-sized fields, int list otherwise."""
+        """Uniform elements: int64 numpy values for word-sized fields,
+        Python ints (a list when size is given) otherwise."""
         if self.q <= 1 << 62:
-            return rng.integers(0, self.q, size=size, dtype=np.int64)
+            out = rng.integers(0, self.q, size=size, dtype=np.int64)
+            if self.word_sized:
+                return out
+            return out.tolist() if size is not None else int(out)
         nbits = self.q.bit_length()  # q = 2^l for big fields
         nwords = (nbits + 31) // 32
         words = rng.integers(0, 1 << 32, size=(size or 1, nwords), dtype=np.uint64)
@@ -268,6 +278,10 @@ class PrimeField(Field):
         self.q = p
         self.modulus = p
 
+    @property
+    def word_sized(self) -> bool:
+        return self.q < 1 << 31
+
     def add(self, a, b):
         return (a + b) % self.q
 
@@ -289,9 +303,11 @@ class PrimeField(Field):
 class BinaryField(Field):
     """GF(2^degree) with an explicit irreducible modulus.
 
-    Degrees up to 16 get exp/log tables (numpy arrays, shared with the
-    vectorized linear algebra); larger degrees use shift-xor multiplication
-    and extended-gcd inversion on Python ints.
+    Degrees up to 16 get exp/log tables (numpy arrays for the vectorized
+    linear algebra, list copies for scalar lookups).  Larger degrees
+    multiply Python ints carry-less over the shorter operand (shift-xor
+    below 8 bits, a 4-bit window otherwise), reduce by folding with the
+    modulus's low taps, and invert by extended gcd.
     """
 
     kind = "binary"
@@ -318,8 +334,15 @@ class BinaryField(Field):
         self.modulus = modulus
         self.exp_table: Optional[np.ndarray] = None
         self.log_table: Optional[np.ndarray] = None
+        self._exp: Optional[list[int]] = None
+        self._log: Optional[list[int]] = None
+        # x^degree = sum of x^k over these k, the taps folded in on reduction
+        self._taps = [k for k in range(degree) if modulus >> k & 1]
         if degree <= _LOG_TABLE_MAX_DEGREE:
             self._build_tables()
+            # indexing a list with an int beats converting a numpy scalar
+            self._exp = self.exp_table.tolist()
+            self._log = self.log_table.tolist()
 
     def _build_tables(self) -> None:
         q = self.q
@@ -342,11 +365,15 @@ class BinaryField(Field):
     def _find_generator(self) -> int:
         order = self.q - 1
         factors = _prime_factors(order) if order > 1 else set()
-        # the tables are not built yet, so self.pow multiplies by poly_mulmod
+        # the tables are not built yet, so self.pow multiplies without them
         for g in range(2, self.q):
             if all(self.pow(g, order // p) != 1 for p in factors):
                 return g
         return 1  # q = 2
+
+    @property
+    def word_sized(self) -> bool:
+        return self._exp is not None
 
     def add(self, a, b):
         return a ^ b
@@ -359,15 +386,40 @@ class BinaryField(Field):
     def mul(self, a, b):
         if a == 0 or b == 0:
             return 0
-        if self.exp_table is not None:
-            return int(self.exp_table[self.log_table[a] + self.log_table[b]])
-        return poly_mulmod(a, b, self.modulus)
+        if self._exp is not None:
+            return self._exp[self._log[a] + self._log[b]]
+        if a < b:
+            a, b = b, a
+        if b < 128:
+            r = 0
+            while b:
+                if b & 1:
+                    r ^= a
+                a <<= 1
+                b >>= 1
+        else:
+            # the 16 carry-less multiples of a, one per nibble of b
+            a2, a4, a8 = a << 1, a << 2, a << 3
+            a3, a5, a6, a7 = a2 ^ a, a4 ^ a, a4 ^ a2, a4 ^ a2 ^ a
+            win = (0, a, a2, a3, a4, a5, a6, a7,
+                   a8, a8 ^ a, a8 ^ a2, a8 ^ a3, a8 ^ a4, a8 ^ a5, a8 ^ a6,
+                   a8 ^ a7)
+            r = 0
+            for s in range(b.bit_length() - 1 & ~3, -1, -4):
+                r = r << 4 ^ win[b >> s & 15]
+        deg = self.degree
+        while r >> deg:
+            high = r >> deg
+            r &= self.q - 1
+            for k in self._taps:
+                r ^= high << k
+        return r
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        if self.exp_table is not None:
-            return int(self.exp_table[self.q - 1 - self.log_table[a]])
+        if self._exp is not None:
+            return self._exp[self.q - 1 - self._log[a]]
         # extended Euclid in GF(2)[x]
         r0, r1 = self.modulus, a
         t0, t1 = 0, 1

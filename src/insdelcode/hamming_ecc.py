@@ -1,7 +1,7 @@
 """Linear block codes for Hamming errors: the inner codes of the insdel
 constructions.
 
-Provides Reed-Solomon codes with a Berlekamp-Welch errors-and-erasures
+Provides Reed-Solomon codes with Gao's quadratic errors-and-erasures
 decoder, brute-force nearest-codeword decoding for tiny codes, uniformly
 random generator matrices, the systematic left-block transform, and a
 binary concatenated code (outer RS over GF(2^b), random inner code) for
@@ -46,11 +46,88 @@ def min_distance(field: Field, generator: linalg.Matrix) -> int:
     return int((table[1:] != 0).sum(axis=1).min())
 
 
+def _trim(poly: list[int]) -> list[int]:
+    while poly and poly[-1] == 0:
+        poly.pop()
+    return poly
+
+
+def _poly_from_roots(roots: Sequence[int], field: Field) -> list[int]:
+    """Monic prod (x - a) over the roots, ascending coefficients."""
+    mul, add = field.mul, field.add
+    g = [1]
+    for a in roots:
+        c = field.neg(a)
+        g = ([mul(c, g[0])] + [add(g[k - 1], mul(c, g[k]))
+                               for k in range(1, len(g))] + [1])
+    return g
+
+
+def _batch_inv(values: Sequence[int], field: Field) -> list[int]:
+    """Inverses of nonzero values with a single field.inv (prefix products)."""
+    mul = field.mul
+    prefix, acc = [], 1
+    for v in values:
+        prefix.append(acc)
+        acc = mul(acc, v)
+    inv = field.inv(acc)
+    out = [0] * len(values)
+    for i in range(len(values) - 1, -1, -1):
+        out[i] = mul(inv, prefix[i])
+        inv = mul(inv, values[i])
+    return out
+
+
+def _interpolate(points: Sequence[int], values: Sequence[int],
+                 g0: list[int], field: Field) -> list[int]:
+    """The polynomial of degree < N through the N (point, value) pairs,
+    where g0 = prod (x - a_i).
+
+    Lagrange form: sum_i w_i g0 / (x - a_i) with weights
+    w_i = y_i / prod_{j != i} (a_i - a_j).  Coefficient k of g0 / (x - a)
+    is sum_t g0[k + 1 + t] a^t, so the sum collects as
+    g1[k] = sum_t g0[k + 1 + t] P_t with power sums P_t = sum_i w_i a_i^t.
+    """
+    mul, add, sub = field.mul, field.add, field.sub
+    n = len(points)
+    dens = []
+    for i, a in enumerate(points):
+        d = 1
+        for j, b in enumerate(points):
+            if j != i:
+                d = mul(d, sub(a, b))
+        dens.append(d)
+    sums = [0] * n
+    for a, y, d_inv in zip(points, values, _batch_inv(dens, field)):
+        w = mul(y, d_inv)
+        for t in range(n):
+            if w == 0:
+                break
+            sums[t] = add(sums[t], w)
+            w = mul(w, a)
+    g1 = []
+    for k in range(n):
+        acc = 0
+        for t in range(n - k):
+            acc = add(acc, mul(g0[k + 1 + t], sums[t]))
+        g1.append(acc)
+    return _trim(g1)
+
+
+def _poly_submul(a: list[int], c: list[int], b: list[int],
+                 field: Field) -> list[int]:
+    """a - c * b on coefficient lists (ascending powers)."""
+    out = list(a) + [0] * max(0, len(b) + len(c) - 1 - len(a))
+    for i, cv in enumerate(c):
+        for j, bv in enumerate(b):
+            out[i + j] = field.sub(out[i + j], field.mul(cv, bv))
+    return _trim(out)
+
+
 def _poly_divmod(num: list[int], den: list[int], field: Field):
     """Divide coefficient lists (ascending powers) over field."""
     num = list(num)
-    while den and den[-1] == 0:
-        den = den[:-1]
+    den = _trim(list(den))
     if not den:
         raise ZeroDivisionError("polynomial division by zero")
     dd = len(den) - 1
@@ -62,18 +139,14 @@ def _poly_divmod(num: list[int], den: list[int], field: Field):
         if c != 0:
             for j, dv in enumerate(den):
                 num[k - dd + j] = field.sub(num[k - dd + j], field.mul(c, dv))
-    while num and num[-1] == 0:
-        num = num[:-1]
-    while quot and quot[-1] == 0:
-        quot = quot[:-1]
-    return quot, num
+    return _trim(quot), _trim(num)
 
 
 class LinearCode:
     """An (n, m, d) linear code given by a full-rank generator matrix.
 
     decoder strategies:
-      "reed-solomon"        Berlekamp-Welch errors-and-erasures (needs
+      "reed-solomon"        Gao's errors-and-erasures decoder (needs
                             eval_points)
       "brute-force-nearest" scan all q^m codewords (q^m <= 2^20)
     """
@@ -98,6 +171,8 @@ class LinearCode:
             raise UsageError(f"unknown decoder strategy {strategy!r}")
         self.field = field
         self.generator = generator
+        self._generator_array = np.array(
+            generator, dtype=np.int64 if field.word_sized else object)
         self.n = n
         self.m = m
         self.d = d
@@ -111,7 +186,7 @@ class LinearCode:
         if len(x) != self.m:
             raise UsageError(f"message length {len(x)} != m={self.m}")
         return linalg.matvec([self.field.check(v) for v in x],
-                             self.generator, self.field)
+                             self._generator_array, self.field)
 
     def codewords(self) -> Iterator[tuple[tuple[int, ...], list[int]]]:
         """(message, codeword) pairs in lexicographic message order
@@ -140,7 +215,7 @@ class LinearCode:
             raise UsageError("erasure position out of range")
         word = [self.field.check(v) for v in received]
         if self.strategy == "reed-solomon":
-            return self._decode_bw(word, era)
+            return self._decode_gao(word, era)
         return self._decode_brute(word, era)
 
     def _check_radius(self, msg: list[int], received: list[int],
@@ -181,37 +256,36 @@ class LinearCode:
             f"nearest codeword at {best_e} errors + {len(era)} erasures "
             f"is beyond radius (d={self.d})")
 
-    def _decode_bw(self, received: list[int], era: list[int]) -> list[int]:
-        """Berlekamp-Welch rational interpolation on the non-erased points."""
+    def _decode_gao(self, received: list[int], era: list[int]) -> list[int]:
+        """Gao's decoder on the non-erased points (S. Gao, "A New Algorithm
+        for Decoding Reed-Solomon Codes", 2003).
+
+        With N live points, g0 = prod (x - a_i) and g1 the interpolant of
+        the received values; a partial extended Euclid on (g0, g1) stops at
+        the first remainder g with deg g < (N + m)/2, whose cofactor v of
+        g1 divides it exactly when at most (N - m)/2 live symbols are in
+        error, giving the message polynomial g / v.
+        """
         field = self.field
         era_set = set(era)
         live = [i for i in range(self.n) if i not in era_set]
-        if len(live) < self.m:
+        n_live, m = len(live), self.m
+        if n_live < m:
             raise DecodeFailure("too many erasures to interpolate")
-        e_max = (len(live) - self.m) // 2
-        nq = e_max + self.m   # number of Q coefficients
-        ne = e_max + 1        # number of E coefficients
-        rows = []
-        for i in live:
-            alpha = self.eval_points[i]
-            powers = [1]
-            for _ in range(max(nq, ne) - 1):
-                powers.append(field.mul(powers[-1], alpha))
-            yi = received[i]
-            row = powers[:nq] + [field.neg(field.mul(yi, p)) for p in powers[:ne]]
-            rows.append(row)
-        u = linalg.nullspace_vector(rows, field)
-        if u is None:
-            raise DecodeFailure("Berlekamp-Welch system has no solution")
-        q_coeffs, e_coeffs = u[:nq], u[nq:]
-        if all(c == 0 for c in e_coeffs):
-            raise DecodeFailure("degenerate error locator")
-        f, rem = _poly_divmod(q_coeffs, e_coeffs, field)
+        points = [self.eval_points[i] for i in live]
+        g0 = _poly_from_roots(points, field)
+        g1 = _interpolate(points, [received[i] for i in live], g0, field)
+        r0, r1, v0, v1 = g0, g1, [], [1]
+        while 2 * (len(r1) - 1) >= n_live + m:
+            quot, rem = _poly_divmod(r0, r1, field)
+            r0, r1 = r1, rem
+            v0, v1 = v1, _poly_submul(v0, quot, v1, field)
+        f, rem = _poly_divmod(r1, v1, field)
         if rem:
-            raise DecodeFailure("error locator does not divide interpolant")
-        if len(f) > self.m:
+            raise DecodeFailure("error locator does not divide the remainder")
+        if len(f) > m:
             raise DecodeFailure("interpolated polynomial degree too high")
-        msg = (f + [0] * self.m)[:self.m]
+        msg = f + [0] * (m - len(f))
         result = self._check_radius(msg, received, era)
         if result is None:
             raise DecodeFailure("candidate codeword is beyond the radius")

@@ -29,8 +29,7 @@ class _ArrayOps:
             self.exp, self.log = field.exp_table, field.log_table
         elif self.binary:
             self.poly_mul = np.frompyfunc(field.mul, 2, 1)
-        word = self.tables or not self.binary and field.q < (1 << 31)
-        self.dtype = np.int64 if word else object
+        self.dtype = np.int64 if field.word_sized else object
 
     def mul(self, a, b):
         if self.tables:
@@ -78,10 +77,14 @@ def rank(rows: Matrix, field: Field) -> int:
     return len(rref(rows, field)[1])
 
 
-def matvec(x: Sequence[int], rows: Matrix, field: Field) -> list[int]:
-    """Row vector times matrix: y_j = sum_i x_i * M[i][j]."""
+def matvec(x: Sequence[int], rows, field: Field) -> list[int]:
+    """Row vector times matrix: y_j = sum_i x_i * M[i][j].
+
+    rows is a Matrix, or an ndarray of the field's array dtype (int64 for
+    word-sized fields, else object), which is then used without a copy.
+    """
     ops = _ArrayOps(field)
-    M = np.array(rows, dtype=ops.dtype)
+    M = np.asarray(rows, dtype=ops.dtype)
     xv = np.array(list(x), dtype=ops.dtype)
     prod = ops.mul(xv[:, None], M)
     if ops.binary:

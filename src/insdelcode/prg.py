@@ -46,7 +46,6 @@ class PrgSpec:
             eps = self.n_g / 2.0 ** w
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "epsilon", eps)
-        object.__setattr__(self, "_field", BinaryField(w) if w <= 16 else None)
 
     @property
     def d(self) -> int:
@@ -59,7 +58,11 @@ class PrgSpec:
         return seed >> self.w, seed & ((1 << self.w) - 1)
 
     def field(self) -> BinaryField:
-        return self._field if self._field is not None else BinaryField(self.w)
+        """GF(2^w), built on first use (a w without a bundled modulus
+        raises here, not at construction)."""
+        if self._field is None:
+            object.__setattr__(self, "_field", BinaryField(self.w))
+        return self._field
 
 
 def prg_bit(spec: PrgSpec, seed: int, i: int) -> int:

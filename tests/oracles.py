@@ -333,3 +333,74 @@ def matvec_reference(x, rows, field):
         for j, g in enumerate(row):
             out[j] = field.add(out[j], field.mul(xi, g))
     return out
+
+
+def nullspace_vector_reference(rows, field):
+    """A nonzero solution of M u = 0 read off rref_reference, or None.
+
+    The first free column gets value 1, later free columns 0.
+    """
+    if not rows:
+        return None
+    nc = len(rows[0])
+    red, pivots = rref_reference(rows, field)
+    free = next((c for c in range(nc) if c not in pivots), None)
+    if free is None:
+        return None
+    u = [0] * nc
+    u[free] = 1
+    for r, c in enumerate(pivots):
+        u[c] = field.neg(red[r][free])
+    return u
+
+
+def rs_decode_bw_reference(code, received, erasures=()):
+    """Frozen Berlekamp-Welch errors-and-erasures decoding of a
+    Reed-Solomon LinearCode: returns the message, or None where the
+    package must raise DecodeFailure.
+
+    On the N non-erased points it solves Q(a_i) = y_i E(a_i) with
+    deg Q < e + m, deg E <= e, e = (N - m) // 2, by Gauss-Jordan, divides
+    Q by E and accepts when 2 errors + erasures <= d - 1.
+    """
+    field, m = code.field, code.m
+    era = set(erasures)
+    live = [i for i in range(code.n) if i not in era]
+    if len(live) < m:
+        return None
+    e_max = (len(live) - m) // 2
+    nq, ne = e_max + m, e_max + 1
+    rows = []
+    for i in live:
+        powers = [1]
+        for _ in range(max(nq, ne) - 1):
+            powers.append(field.mul(powers[-1], code.eval_points[i]))
+        rows.append(powers[:nq] + [field.neg(field.mul(received[i], p))
+                                   for p in powers[:ne]])
+    u = nullspace_vector_reference(rows, field)
+    if u is None:
+        return None
+    num, den = list(u[:nq]), list(u[nq:])
+    while den and den[-1] == 0:
+        den.pop()
+    if not den:
+        return None
+    # long division of Q by E
+    lead_inv = field.inv(den[-1])
+    dd = len(den) - 1
+    quot = [0] * max(0, len(num) - dd)
+    for k in range(len(num) - 1, dd - 1, -1):
+        c = field.mul(num[k], lead_inv)
+        quot[k - dd] = c
+        for j, dv in enumerate(den):
+            num[k - dd + j] = field.sub(num[k - dd + j], field.mul(c, dv))
+    if any(num):
+        return None
+    while quot and quot[-1] == 0:
+        quot.pop()
+    if len(quot) > m:
+        return None
+    msg = quot + [0] * (m - len(quot))
+    cw = matvec_reference(msg, code.generator, field)
+    errors = sum(1 for i in live if cw[i] != received[i])
+    return msg if 2 * errors + len(era) <= code.d - 1 else None

@@ -1,12 +1,14 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from insdelcode import linalg
 from insdelcode.errors import InvalidSpecError, UsageError
 from insdelcode.gf import (BinaryField, FieldElement, PrimeField, field_arith,
                            field_from_json, irreducible_poly,
-                           poly_find_factor)
+                           poly_find_factor, poly_mulmod)
 
 
 def test_prime_arithmetic_examples():
@@ -120,7 +122,6 @@ def test_canonical_range_check():
 
 
 def test_sampling_deterministic():
-    import numpy as np
     field = BinaryField(6)
     a = field.sample(np.random.default_rng(3), 10)
     b = field.sample(np.random.default_rng(3), 10)
@@ -128,3 +129,51 @@ def test_sampling_deterministic():
     big = BinaryField(100)
     v = big.sample(np.random.default_rng(0))
     assert 0 <= v < big.q
+
+
+# the densest irreducible degree-20 modulus below x^20 + 2^20 - 1: its low
+# taps reach x^19, so reduction needs many folds instead of two
+DENSE_20 = next(f for f in range((1 << 21) - 1, 1 << 20, -2)
+                if poly_find_factor(f) is None)
+
+
+@pytest.mark.parametrize("degree, modulus", [
+    (17, None), (20, None), (22, None), (61, None), (64, None), (100, None),
+    (128, None), (20, DENSE_20)])
+def test_mul_matches_shift_xor_reference(degree, modulus):
+    field = BinaryField(degree, modulus)
+    rng = np.random.default_rng(degree)
+    operands = [0, 1, 2, 3, 0x7f, 0x80, 0xff, field.q - 1, field.q >> 1]
+    operands += [int(v) for v in rng.integers(2, 1 << 7, 4)]     # < 8 bits
+    operands += [int(v) for v in rng.integers(1 << 7, 1 << 8, 4)]  # < 256
+    operands += field.sample(rng, 8)                               # full width
+    for a in operands:
+        for b in operands:
+            expected = poly_mulmod(a, b, field.modulus)
+            assert field.mul(a, b) == expected
+            assert field.mul(b, a) == expected
+
+
+@pytest.mark.parametrize("field", [BinaryField(40), PrimeField(2**61 - 1),
+                                   BinaryField(100)])
+def test_samples_multiply_like_python_ints(field):
+    # fields linalg works on as object arrays sample Python ints, so numpy
+    # int64 can neither overflow a product nor lack int methods
+    rng = np.random.default_rng(4)
+    a, b = field.sample(rng, 12), field.sample(rng, 12)
+    assert all(type(v) is int for v in a + b)
+    assert type(field.sample(rng)) is int
+    assert [field.mul(x, y) for x, y in zip(a, b)] == \
+        [field.mul(int(x), int(y)) for x, y in zip(a, b)]
+    M = [field.sample(rng, 5) for _ in range(12)]
+    assert linalg.matvec(a, M, field) == linalg.matvec(
+        [int(v) for v in a], [[int(v) for v in row] for row in M], field)
+
+
+def test_word_sized_fields_sample_int64_arrays():
+    rng = np.random.default_rng(4)
+    for field in (BinaryField(6), BinaryField(16), PrimeField(2**31 - 1)):
+        assert field.word_sized
+        assert field.sample(rng, 3).dtype == np.int64
+    for field in (BinaryField(17), PrimeField(2**31 + 11), BinaryField(100)):
+        assert not field.word_sized

@@ -13,7 +13,8 @@ from insdelcode.hamming_ecc import (ConcatenatedBinaryCode, LinearCode,
                                     rs_build, systematic_transform)
 from insdelcode.linalg import identity, matvec, rank
 from oracles import (concatenated_inner_symbols_reference,
-                     nearest_codeword_scan, pairwise_min_hamming)
+                     nearest_codeword_scan, pairwise_min_hamming,
+                     rs_decode_bw_reference)
 
 
 def test_rs_build_examples():
@@ -121,6 +122,41 @@ def test_bw_errors_and_erasures_matches_brute_oracle():
             bad[p] = (bad[p] + 1 + int(rng.integers(0, 12))) % 13
         assert code.decode(bad, erasures=pos[:s]) == msg
         assert brute.decode(bad, erasures=pos[:s]) == msg
+
+
+def _nonzero(field, rng):
+    v = 0
+    while v == 0:
+        v = int(field.sample(rng))
+    return v
+
+
+@pytest.mark.parametrize("field, n, m", [
+    (PrimeField(13), 12, 4), (PrimeField(13), 6, 6), (BinaryField(6), 30, 12),
+    (BinaryField(20), 16, 6), (BinaryField(100), 12, 5)])
+def test_gao_matches_berlekamp_welch_reference(field, n, m):
+    code = rs_build(field, n, m)
+    rng = np.random.default_rng([n, m])
+    outcomes = set()
+    for trial in range(60):
+        msg = [int(v) for v in field.sample(rng, m)]
+        word = code.encode(msg)
+        # erasures: any number, exactly n - m (N == m live points), all n
+        n_era = [int(rng.integers(0, n + 1)), n - m, n,
+                 int(rng.integers(0, n - m + 1))][trial % 4]
+        era = sorted(int(i) for i in rng.choice(n, n_era, replace=False))
+        # errors up to the live radius (N - m) / 2 and two past it
+        n_err = min(n, int(rng.integers(0, max(0, n - n_era - m) // 2 + 3)))
+        for i in rng.choice(n, n_err, replace=False):
+            word[i] = field.add(word[i], _nonzero(field, rng))
+        expected = rs_decode_bw_reference(code, word, era)
+        try:
+            got = code.decode(word, erasures=era)
+        except DecodeFailure:
+            got = None
+        assert got == expected
+        outcomes.add("failure" if got is None else got == msg)
+    assert {"failure", True} <= outcomes
 
 
 def test_decode_roundtrip_exhaustive_error_positions():

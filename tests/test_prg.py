@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from insdelcode.errors import CapacityError, UsageError
+from insdelcode.errors import CapacityError, InvalidSpecError, UsageError
 from insdelcode.prg import PrgSpec, prg_bit, prg_generate, prg_verify_marginals
 
 
@@ -76,3 +76,12 @@ def test_budget_guard():
     spec = PrgSpec(16, w=6)
     with pytest.raises(CapacityError):
         prg_verify_marginals(spec, 3, budget=10)
+
+
+def test_field_built_once_and_lazily():
+    spec = PrgSpec(100, w=20)
+    assert spec.field() is spec.field()
+    assert spec.field().degree == 20
+    no_modulus = PrgSpec(10, w=70)  # no bundled degree-70 modulus
+    with pytest.raises(InvalidSpecError):
+        no_modulus.field()
