@@ -7,8 +7,13 @@ content bits so no content run of ones can imitate a boundary.  All framing
 is a fixed pattern at fixed positions, so the codeword set is a coset of a
 linear space: encode(x) ^ encode(x') ^ encode(0) == encode(x ^ x').
 
+The code is used as that affine map: content bit k of a block sits at
+k + k//t after the boundary, so encoding copies the offset encode(0) and
+scatters the bits of the inner codeword to fixed positions, and decoding
+gathers the sync and data columns of every block of the expected length.
+
 Decoding scans for maximal 1-runs of length >= t+1 (a run plus its
-preceding zero is a boundary), de-stuffs the content between boundaries,
+preceding zero is a boundary), reads the content between boundaries,
 recovers coordinate indices from the sync readings, and finishes with
 errors-and-erasures Reed-Solomon decoding.
 """
@@ -27,32 +32,18 @@ from .hamming_ecc import LinearCode, rs_build
 from .sync_string import SyncString, construct_sync_string, index_recovery
 
 
-def _int_to_bits(value: int, width: int) -> list[int]:
-    return [(value >> k) & 1 for k in range(width)]
+def _unpack(values: Sequence[int], width: int) -> np.ndarray:
+    """Bits of each value, least significant first, one row per value."""
+    nbytes = (width + 7) // 8
+    raw = b"".join(int(v).to_bytes(nbytes, "little") for v in values)
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+    return bits.reshape(len(values), 8 * nbytes)[:, :width].astype(np.int64)
 
 
-def _bits_to_int(bits: Sequence[int]) -> int:
-    return sum(int(b) << k for k, b in enumerate(bits))
-
-
-def _stuff(bits: Sequence[int], t: int) -> list[int]:
-    """Insert a 0 after every complete group of t bits (len//t insertions);
-    a trailing partial group gets none."""
-    out = []
-    for k, b in enumerate(bits):
-        out.append(int(b))
-        if (k + 1) % t == 0:
-            out.append(0)
-    return out
-
-
-def _destuff(bits: Sequence[int], t: int) -> list[int]:
-    """Drop every (t+1)-th bit (the stuffed zeros, if uncorrupted)."""
-    return [int(b) for k, b in enumerate(bits) if (k + 1) % (t + 1) != 0]
-
-
-def _stuffed_len(l: int, t: int) -> int:
-    return l + l // t
+def _pack(bits: np.ndarray) -> list[int]:
+    """Inverse of _unpack: the value of each row of a 0/1 matrix."""
+    packed = np.packbits(bits.astype(np.uint8), axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 class AffineCode:
@@ -76,13 +67,23 @@ class AffineCode:
         self.l0 = inner.field.degree
         self.l_s = sync.bits_per_symbol
         self.l = self.l_s + self.l0
-        self.content_len = _stuffed_len(self.l, t)
+        self.content_len = self.l + self.l // t
         self.block_len = (t + 2) + self.content_len
         self.n = self.n0 * self.block_len
         self.m = self.m0 * self.l0
         # one insdel corrupts at most two blocks and an erased block costs
         # one unit of the inner budget 2*errors + erasures <= d0 - 1
         self.kappa = kappa if kappa is not None else max(1, (inner.d - 1) // 2)
+        # a 0 is stuffed after every t content bits, so content bit k sits
+        # at k + k//t; sync bits come first, then data bits
+        cols = np.arange(self.l) + np.arange(self.l) // t
+        self._sync_cols, self._data_cols = cols[:self.l_s], cols[self.l_s:]
+        blocks = np.zeros((self.n0, self.block_len), dtype=np.int64)
+        blocks[:, 1:t + 2] = 1
+        blocks[:, t + 2 + self._sync_cols] = _unpack(sync.symbols, self.l_s)
+        self._offset = blocks.ravel()
+        self._data_pos = (np.arange(self.n0)[:, None] * self.block_len
+                          + t + 2 + self._data_cols).ravel()
 
     @property
     def rate(self) -> float:
@@ -90,57 +91,50 @@ class AffineCode:
 
     def offset(self) -> np.ndarray:
         """Codeword of the zero message: the affine shift."""
-        return self.encode([0] * self.m)
+        return self._offset.copy()
 
     def encode(self, x: Sequence[int]) -> np.ndarray:
         if len(x) != self.m:
             raise UsageError(f"message length {len(x)} != m={self.m}")
-        syms = [_bits_to_int(x[i * self.l0:(i + 1) * self.l0])
-                for i in range(self.m0)]
-        y = self.inner.encode(syms)
-        out = []
-        boundary = [0] + [1] * (self.t + 1)
-        for i in range(self.n0):
-            content = _int_to_bits(self.sync.symbols[i], self.l_s)
-            content += _int_to_bits(y[i], self.l0)
-            out.extend(boundary)
-            out.extend(_stuff(content, self.t))
-        return np.array(out, dtype=np.int64)
+        bits = np.asarray(x, dtype=np.int64)
+        if not np.isin(bits, (0, 1)).all():
+            raise UsageError("message must be a bit sequence")
+        y = self.inner.encode(_pack(bits.reshape(self.m0, self.l0)))
+        out = self._offset.copy()
+        out[self._data_pos] = _unpack(y, self.l0).ravel()
+        return out
 
     def parse_blocks(self, received: Sequence[int]) -> list[np.ndarray]:
         return parse_blocks(received, self.t)
 
     def decode(self, received: Sequence[int]) -> list[int]:
-        """Parse, de-stuff, recover indices, errors-and-erasures decode."""
+        """Parse, read sync and data, recover indices, errors-and-erasures
+        decode."""
         received = np.asarray(received, dtype=np.int64)
         if received.size and not np.isin(received, (0, 1)).all():
             raise UsageError("received word must be a bit stream")
-        readings = []  # (sync symbol, data symbol) per well-formed block
-        for content in self.parse_blocks(received):
-            if len(content) != self.content_len:
-                continue  # corrupted block; its coordinate becomes an erasure
-            bits = _destuff(content, self.t)
-            readings.append((_bits_to_int(bits[:self.l_s]),
-                             _bits_to_int(bits[self.l_s:])))
-        assignment = index_recovery([r[0] for r in readings], self.sync)
+        # a block of another length is corrupted; its coordinate becomes an
+        # erasure
+        stacked = np.array([b for b in self.parse_blocks(received)
+                            if len(b) == self.content_len],
+                           dtype=np.int64).reshape(-1, self.content_len)
+        sync = _pack(stacked[:, self._sync_cols])
+        data = _pack(stacked[:, self._data_cols])
+        assignment = index_recovery(sync, self.sync)
         word: list[Optional[int]] = [None] * self.n0
-        for reading, idx in zip(readings, assignment.assigned):
+        for value, idx in zip(data, assignment.assigned):
             if idx is None:
                 continue
             if word[idx] is not None:
                 word[idx] = None  # conflicting readings: erase the position
                 continue
-            word[idx] = reading[1]
+            word[idx] = value
         erasures = [i for i, v in enumerate(word) if v is None]
         filled = [0 if v is None else v for v in word]
         return self.inner.decode(filled, erasures=erasures)
 
     def decode_bits(self, received: Sequence[int]) -> list[int]:
-        msg_syms = self.decode(received)
-        bits = []
-        for sym in msg_syms:
-            bits.extend(_int_to_bits(sym, self.l0))
-        return bits
+        return _unpack(self.decode(received), self.l0).ravel().tolist()
 
     def to_json(self) -> dict:
         return {"kind": "affine", "epsilon": self.epsilon, "t": self.t,

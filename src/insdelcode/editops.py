@@ -131,14 +131,41 @@ def insdel_channel(z: Symbols, n_ins: int, n_del: int, seed,
     if n_ins < 0 or n_del < 0:
         raise UsageError("insertion/deletion counts must be non-negative")
     rng = np.random.default_rng(seed)
-    if n_del:
-        drop = rng.choice(len(za), size=n_del, replace=False)
-        za = np.delete(za, drop)
-    for _ in range(n_ins):
-        pos = int(rng.integers(0, len(za) + 1))
-        sym = int(rng.integers(0, alphabet))
-        za = np.insert(za, pos, sym)
-    return za
+    drop = np.sort(rng.choice(len(za), size=n_del, replace=False)) if n_del \
+        else np.zeros(0, dtype=np.int64)
+    # insertion j lands at slot pos[j] of the string as it then is, pushing
+    # every earlier insertion at or after that slot one place right
+    kept = len(za) - n_del
+    pos = np.zeros(n_ins, dtype=np.int64)
+    syms = []
+    for j in range(n_ins):
+        p = int(rng.integers(0, kept + j + 1))
+        pos[:j] += pos[:j] >= p
+        pos[j] = p
+        syms.append(int(rng.integers(0, alphabet)))
+    if not n_ins and not n_del:
+        return za
+    order = np.argsort(pos)
+    # the r-th insertion from the left precedes kept symbol pos - r, whose
+    # index in z counts the deletions before it
+    rank = pos[order] - np.arange(n_ins)
+    before = rank + np.searchsorted(drop - np.arange(n_del), rank, side="right")
+    edits = sorted([(int(d), None) for d in drop]
+                   + [(int(b), syms[j]) for b, j in zip(before, order)],
+                   key=lambda e: e[0])
+    out = np.empty(kept + n_ins, dtype=np.int64)
+    src = dst = 0
+    for at, sym in edits:
+        out[dst:dst + at - src] = za[src:at]
+        dst += at - src
+        if sym is None:  # deletion of z[at]
+            src = at + 1
+        else:
+            out[dst] = sym
+            dst += 1
+            src = at
+    out[dst:] = za[src:]
+    return out
 
 
 def min_pairwise_edit_distance(codewords: Sequence[Symbols]) -> int:

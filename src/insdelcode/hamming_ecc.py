@@ -6,6 +6,12 @@ decoder, brute-force nearest-codeword decoding for tiny codes, uniformly
 random generator matrices, the systematic left-block transform, and a
 binary concatenated code (outer RS over GF(2^b), random inner code) for
 callers that need a binary alphabet.
+
+A Reed-Solomon code is used through its evaluation and interpolation maps:
+over big fields it encodes by Horner's rule at the evaluation points, and
+over word-sized fields it encodes by an int64 generator matvec and
+interpolates an erasure-free word by one matvec with the inverse
+Vandermonde matrix, built on first use.
 """
 
 from __future__ import annotations
@@ -50,6 +56,15 @@ def _trim(poly: list[int]) -> list[int]:
     while poly and poly[-1] == 0:
         poly.pop()
     return poly
+
+
+def _vandermonde(points: Sequence[int], rows: int,
+                 field: Field) -> linalg.Matrix:
+    """Row i holds the i-th powers of the points."""
+    out = [[1] * len(points)]
+    for _ in range(rows - 1):
+        out.append([field.mul(r, p) for r, p in zip(out[-1], points)])
+    return out
 
 
 def _poly_from_roots(roots: Sequence[int], field: Field) -> list[int]:
@@ -149,6 +164,11 @@ class LinearCode:
       "reed-solomon"        Gao's errors-and-erasures decoder (needs
                             eval_points)
       "brute-force-nearest" scan all q^m codewords (q^m <= 2^20)
+
+    Given eval_points, the generator must be their Vandermonde matrix (row
+    i holds the i-th powers): the code is then Reed-Solomon, and encoding
+    over fields that are not word-sized evaluates the message polynomial
+    at the points by Horner's rule.
     """
 
     def __init__(self, field: Field, generator: linalg.Matrix, d: int,
@@ -169,6 +189,13 @@ class LinearCode:
             raise UsageError("reed-solomon strategy requires eval_points")
         if strategy not in ("reed-solomon", "brute-force-nearest"):
             raise UsageError(f"unknown decoder strategy {strategy!r}")
+        if eval_points is not None:
+            eval_points = [field.check(p) for p in eval_points]
+            if (len(set(eval_points)) != len(eval_points)
+                    or _vandermonde(eval_points, m, field) != generator):
+                raise ParameterError(
+                    "generator is not the Vandermonde matrix of n distinct "
+                    "evaluation points")
         self.field = field
         self.generator = generator
         self._generator_array = np.array(
@@ -178,15 +205,27 @@ class LinearCode:
         self.d = d
         self.kappa = (d - 1) // 2
         self.strategy = strategy
-        self.eval_points = list(eval_points) if eval_points is not None else None
+        self.eval_points = eval_points
+        self._interpolation = None  # (g0, inverse Vandermonde), on first use
 
     # -- encoding ---------------------------------------------------------
 
     def encode(self, x: Sequence[int]) -> list[int]:
         if len(x) != self.m:
             raise UsageError(f"message length {len(x)} != m={self.m}")
-        return linalg.matvec([self.field.check(v) for v in x],
-                             self._generator_array, self.field)
+        x = [self.field.check(v) for v in x]
+        if self.eval_points is None or self.field.word_sized:
+            return linalg.matvec(x, self._generator_array, self.field)
+        # Horner at each point; the default points 0..n-1 are small, and
+        # BinaryField.mul multiplies by a small operand with shift-xor
+        mul, add = self.field.mul, self.field.add
+        out = []
+        for a in self.eval_points:
+            acc = 0
+            for c in reversed(x):
+                acc = add(mul(acc, a), c)
+            out.append(acc)
+        return out
 
     def codewords(self) -> Iterator[tuple[tuple[int, ...], list[int]]]:
         """(message, codeword) pairs in lexicographic message order
@@ -244,7 +283,8 @@ class LinearCode:
 
     def _decode_brute(self, received: list[int], era: list[int]) -> list[int]:
         table = self._codeword_table()
-        live = np.array([i for i in range(self.n) if i not in set(era)])
+        era_set = set(era)
+        live = np.array([i for i in range(self.n) if i not in era_set])
         word = np.asarray(received, dtype=np.int64)
         errs = (table[:, live] != word[live]).sum(axis=1) if live.size \
             else np.zeros(len(table), dtype=np.int64)
@@ -265,6 +305,9 @@ class LinearCode:
         the first remainder g with deg g < (N + m)/2, whose cofactor v of
         g1 divides it exactly when at most (N - m)/2 live symbols are in
         error, giving the message polynomial g / v.
+
+        An erasure-free word over a word-sized field is interpolated by one
+        matvec with the cached inverse Vandermonde matrix.
         """
         field = self.field
         era_set = set(era)
@@ -272,9 +315,13 @@ class LinearCode:
         n_live, m = len(live), self.m
         if n_live < m:
             raise DecodeFailure("too many erasures to interpolate")
-        points = [self.eval_points[i] for i in live]
-        g0 = _poly_from_roots(points, field)
-        g1 = _interpolate(points, [received[i] for i in live], g0, field)
+        if not era and field.word_sized:
+            g0, inv_vandermonde = self._interpolation_map()
+            g1 = _trim(linalg.matvec(received, inv_vandermonde, field))
+        else:
+            points = [self.eval_points[i] for i in live]
+            g0 = _poly_from_roots(points, field)
+            g1 = _interpolate(points, [received[i] for i in live], g0, field)
         r0, r1, v0, v1 = g0, g1, [], [1]
         while 2 * (len(r1) - 1) >= n_live + m:
             quot, rem = _poly_divmod(r0, r1, field)
@@ -290,6 +337,18 @@ class LinearCode:
         if result is None:
             raise DecodeFailure("candidate codeword is beyond the radius")
         return result
+
+    def _interpolation_map(self) -> tuple[list[int], np.ndarray]:
+        """g0 = prod (x - a_i) over all points, and the inverse of the n x n
+        Vandermonde matrix: the word times it is the interpolant's
+        coefficient list."""
+        if self._interpolation is None:
+            field = self.field
+            inv = linalg.inverse(_vandermonde(self.eval_points, self.n, field),
+                                 field)
+            self._interpolation = (_poly_from_roots(self.eval_points, field),
+                                   np.array(inv, dtype=np.int64))
+        return self._interpolation
 
     # -- serialization ----------------------------------------------------
 
@@ -326,13 +385,8 @@ def rs_build(field: Field, n: int, m: int,
         eval_points = [field.check(p) for p in eval_points]
     if len(eval_points) != n or len(set(eval_points)) != n:
         raise UsageError("evaluation points must be n distinct elements")
-    gen = []
-    row = [1] * n
-    for i in range(m):
-        if i > 0:
-            row = [field.mul(r, p) for r, p in zip(row, eval_points)]
-        gen.append(list(row))
-    return LinearCode(field, gen, n - m + 1, strategy, list(eval_points))
+    return LinearCode(field, _vandermonde(eval_points, m, field), n - m + 1,
+                      strategy, list(eval_points))
 
 
 def random_generator(field: Field, m: int, n: int, seed) -> linalg.Matrix:

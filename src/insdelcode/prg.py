@@ -71,19 +71,19 @@ def prg_bit(spec: PrgSpec, seed: int, i: int) -> int:
         raise UsageError(f"bit index {i} out of range")
     x, y = spec.split_seed(seed)
     xp = spec.field().pow(x, i) if i else 1
-    return bin(xp & y).count("1") & 1
+    return (xp & y).bit_count() & 1
 
 
 def prg_generate(spec: PrgSpec, seed: int) -> np.ndarray:
     """All n_g output bits for one seed (incremental powers of x)."""
     x, y = spec.split_seed(seed)
-    fld = spec.field()
-    out = np.zeros(spec.n_g, dtype=np.int64)
+    mul = spec.field().mul
+    bits = []
     xp = 1
-    for i in range(spec.n_g):
-        out[i] = bin(xp & y).count("1") & 1
-        xp = fld.mul(xp, x)
-    return out
+    for _ in range(spec.n_g):
+        bits.append((xp & y).bit_count() & 1)
+        xp = mul(xp, x)
+    return np.array(bits, dtype=np.int64)
 
 
 def prg_verify_marginals(spec: PrgSpec, k: int, budget: int = 200_000_000,

@@ -404,3 +404,123 @@ def rs_decode_bw_reference(code, received, erasures=()):
     cw = matvec_reference(msg, code.generator, field)
     errors = sum(1 for i in live if cw[i] != received[i])
     return msg if 2 * errors + len(era) <= code.d - 1 else None
+
+
+def rs_encode_matvec_reference(code, msg):
+    """Codeword of a LinearCode as the message times its generator matrix:
+    how every code encoded before Reed-Solomon codes over big fields
+    switched to Horner's rule."""
+    return matvec_reference(msg, code.generator, code.field)
+
+
+# Frozen copies of the affine code's earlier bit-by-bit framing: symbols to
+# bit lists, a 0 stuffed after every t content bits, a block assembled per
+# coordinate, and the reverse on decoding.
+
+
+def int_to_bits_reference(value, width):
+    return [(value >> k) & 1 for k in range(width)]
+
+
+def bits_to_int_reference(bits):
+    return sum(int(b) << k for k, b in enumerate(bits))
+
+
+def stuff_reference(bits, t):
+    """Insert a 0 after every complete group of t bits."""
+    out = []
+    for k, b in enumerate(bits):
+        out.append(int(b))
+        if (k + 1) % t == 0:
+            out.append(0)
+    return out
+
+
+def destuff_reference(bits, t):
+    """Drop every (t+1)-th bit."""
+    return [int(b) for k, b in enumerate(bits) if (k + 1) % (t + 1) != 0]
+
+
+def affine_encode_reference(code, x):
+    """Codeword of an AffineCode, assembled block by block."""
+    syms = [bits_to_int_reference(x[i * code.l0:(i + 1) * code.l0])
+            for i in range(code.m0)]
+    y = rs_encode_matvec_reference(code.inner, syms)
+    out = []
+    for i in range(code.n0):
+        content = int_to_bits_reference(code.sync.symbols[i], code.l_s)
+        content += int_to_bits_reference(y[i], code.l0)
+        out.extend([0] + [1] * (code.t + 1))
+        out.extend(stuff_reference(content, code.t))
+    return np.array(out, dtype=np.int64)
+
+
+def parse_blocks_reference(received, t):
+    """Contents between boundaries (1-runs of length >= t+1)."""
+    bits = np.asarray(received, dtype=np.int64)
+    if bits.size == 0:
+        return []
+    padded = np.concatenate([[0], (bits != 0).astype(np.int64), [0]])
+    delta = np.diff(padded)
+    starts = np.flatnonzero(delta == 1)
+    ends = np.flatnonzero(delta == -1)
+    starts = starts[(ends - starts) >= t + 1]
+    blocks = []
+    for k in range(len(starts)):
+        lo = starts[k] + t + 1
+        hi = starts[k + 1] - 1 if k + 1 < len(starts) else len(bits)
+        blocks.append(bits[lo:hi])
+    return blocks
+
+
+def affine_decode_reference(code, received):
+    """AffineCode.decode with the de-stuffing framing: the message symbols,
+    or DecodeFailure raised by the inner decoder."""
+    from insdelcode.sync_string import index_recovery
+
+    readings = []
+    for content in parse_blocks_reference(received, code.t):
+        if len(content) != code.content_len:
+            continue
+        bits = destuff_reference(content, code.t)
+        readings.append((bits_to_int_reference(bits[:code.l_s]),
+                         bits_to_int_reference(bits[code.l_s:])))
+    assignment = index_recovery([r[0] for r in readings], code.sync)
+    word = [None] * code.n0
+    for reading, idx in zip(readings, assignment.assigned):
+        if idx is None:
+            continue
+        if word[idx] is not None:
+            word[idx] = None
+            continue
+        word[idx] = reading[1]
+    erasures = [i for i, v in enumerate(word) if v is None]
+    filled = [0 if v is None else v for v in word]
+    return code.inner.decode(filled, erasures=erasures)
+
+
+def insdel_channel_reference(z, n_ins, n_del, seed, alphabet):
+    """The seeded insdel channel as one np.delete and one np.insert copy
+    per inserted symbol."""
+    za = np.asarray(z, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    if n_del:
+        drop = rng.choice(len(za), size=n_del, replace=False)
+        za = np.delete(za, drop)
+    for _ in range(n_ins):
+        pos = int(rng.integers(0, len(za) + 1))
+        sym = int(rng.integers(0, alphabet))
+        za = np.insert(za, pos, sym)
+    return za
+
+
+def prg_generate_reference(spec, seed):
+    """Powering-PRG output bits <x^i, y>, one numpy setitem per bit."""
+    x, y = spec.split_seed(seed)
+    fld = spec.field()
+    out = np.zeros(spec.n_g, dtype=np.int64)
+    xp = 1
+    for i in range(spec.n_g):
+        out[i] = bin(xp & y).count("1") & 1
+        xp = fld.mul(xp, x)
+    return out

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from insdelcode.affine_insdel import (AffineCode, _destuff, _stuff,
-                                      affine_params, affine_params_sweep,
-                                      parse_blocks)
+from insdelcode.affine_insdel import (AffineCode, affine_params,
+                                      affine_params_sweep, parse_blocks)
 from insdelcode.editops import insdel_channel, lcs_length
-from insdelcode.errors import ParameterError, UsageError
+from insdelcode.errors import DecodeFailure, ParameterError, UsageError
 from insdelcode.gf import BinaryField
 from insdelcode.hamming_ecc import rs_build
 from insdelcode.sync_string import construct_sync_string
+from oracles import (affine_decode_reference, affine_encode_reference,
+                     destuff_reference, parse_blocks_reference,
+                     stuff_reference)
 
 
 def small_code(n0=6, epsilon=0.25, seed=2):
@@ -21,9 +23,47 @@ def small_code(n0=6, epsilon=0.25, seed=2):
 
 
 def test_stuffing_example():
-    assert _stuff([1, 1, 0, 1], 2) == [1, 1, 0, 0, 1, 0]
-    assert _destuff([1, 1, 0, 0, 1, 0], 2) == [1, 1, 0, 1]
-    assert _destuff(_stuff(list(range(2)) * 5, 3), 3) == [0, 1] * 5
+    assert stuff_reference([1, 1, 0, 1], 2) == [1, 1, 0, 0, 1, 0]
+    assert destuff_reference([1, 1, 0, 0, 1, 0], 2) == [1, 1, 0, 1]
+    assert destuff_reference(stuff_reference(list(range(2)) * 5, 3), 3) \
+        == [0, 1] * 5
+
+
+def _decode_outcome(decode, received):
+    try:
+        return decode(received)
+    except DecodeFailure:
+        return "failure"
+
+
+@pytest.mark.parametrize("make", [
+    small_code,
+    lambda: small_code(n0=7, epsilon=0.2, seed=4),
+    lambda: AffineCode(rs_build(BinaryField(10), 9, 4),
+                       construct_sync_string(9, 0.5, 1), t=3, epsilon=0.3),
+    lambda: affine_params(0.1, 40, seed=5)])
+def test_framing_matches_block_by_block_reference(make):
+    code = make()
+    outcomes = set()
+    trials = 12 if code.n > 2000 else 40
+    for trial in range(trials):
+        rng = np.random.default_rng([61, trial])
+        msg = [int(v) for v in rng.integers(0, 2, code.m)]
+        z = code.encode(msg)
+        assert np.array_equal(z, affine_encode_reference(code, msg))
+        # past the radius too, so that decoding failures are compared
+        k = int(rng.integers(0, 3 * code.kappa + 3))
+        n_ins = int(rng.integers(0, k + 1))
+        zp = insdel_channel(z, n_ins, k - n_ins, [62, trial], alphabet=2)
+        assert [list(b) for b in code.parse_blocks(zp)] == \
+            [list(b) for b in parse_blocks_reference(zp, code.t)]
+        got = _decode_outcome(code.decode, zp)
+        assert got == _decode_outcome(
+            lambda w: affine_decode_reference(code, w), zp)
+        outcomes.add(got == "failure")
+    assert np.array_equal(code.offset(),
+                          affine_encode_reference(code, [0] * code.m))
+    assert outcomes == {False, True}
 
 
 def test_block_lengths_and_clean_parse():

@@ -187,6 +187,27 @@ def test_malformed_code_spec_exits_2(tmp_path, capsys, spec):
     assert "malformed code spec" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("edit", ["generator", "eval_points"])
+def test_rs_spec_generator_off_its_points_exits_2(tmp_path, capsys, edit):
+    code_file = tmp_path / "code.json"
+    assert run("code", "build", "--kind", "rs", "--prime", "7", "--n", "6",
+               "--m", "2", "--out", code_file) == 0
+    spec = read_json(code_file)
+    if edit == "generator":
+        spec["generator"][1][3] = (spec["generator"][1][3] + 1) % 7
+    else:
+        spec["eval_points"][0], spec["eval_points"][1] = \
+            spec["eval_points"][1], spec["eval_points"][0]
+    write_json(code_file, spec)
+    word = tmp_path / "word.json"
+    write_values(word, [0] * 6)
+    rc = run("insdel", "decode", "--code", code_file, "--in", word,
+             "--out", tmp_path / "out.json")
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Vandermonde" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("command, spec", [
     (("separator", "verify", "--in"), [1, 2]),
     (("sync", "verify", "--in"), [1, 2]),

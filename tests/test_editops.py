@@ -6,7 +6,8 @@ from insdelcode.editops import (EditScript, edit_distance, edit_distance_only,
                                 insdel_channel, lcs, lcs_length,
                                 min_pairwise_edit_distance)
 from insdelcode.errors import UsageError
-from oracles import edit_distance_recursive, lcs_recursive
+from oracles import (edit_distance_recursive, insdel_channel_reference,
+                     lcs_recursive)
 
 words = st.lists(st.integers(0, 3), max_size=12)
 
@@ -74,6 +75,30 @@ def test_channel_deterministic_and_bounded():
     assert list(a) == list(b)
     assert len(a) == len(z) + 3 - 4
     assert edit_distance_only(z, a) <= 7
+
+
+def test_channel_matches_one_copy_per_edit_reference():
+    rng = np.random.default_rng(71)
+    cases = [(0, 0, 0), (0, 3, 0), (5, 0, 5), (5, 2, 5), (1, 4, 0), (1, 0, 1),
+             (2, 6, 2)]
+    cases += [(int(length), int(rng.integers(0, 9)),
+               int(rng.integers(0, length + 1)))
+              for length in rng.integers(0, 40, size=400)]
+    ends = set()
+    for trial, (length, n_ins, n_del) in enumerate(cases):
+        z = rng.integers(0, 3, size=length)
+        got = insdel_channel(z, n_ins, n_del, [72, trial], alphabet=7)
+        want = insdel_channel_reference(z, n_ins, n_del, [72, trial], 7)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        if n_ins and not n_del and length:
+            # an inserted symbol (>= 3) at either end of the output
+            ends.update(e for e, v in (("front", got[0]), ("back", got[-1]))
+                        if v >= 3)
+    assert ends == {"front", "back"}
+    z = np.arange(2000) % 5
+    for seed in range(20):
+        assert np.array_equal(insdel_channel(z, 4, 3, seed, 5),
+                              insdel_channel_reference(z, 4, 3, seed, 5))
 
 
 def test_channel_usage_errors():

@@ -7,6 +7,7 @@ from insdelcode.errors import (CapacityError, DecodeFailure, ParameterError,
                                UsageError)
 from insdelcode.gf import BinaryField, PrimeField
 from insdelcode.hamming_ecc import (ConcatenatedBinaryCode, LinearCode,
+                                    _interpolate, _poly_from_roots, _trim,
                                     codeword_table, concatenated_binary_code,
                                     full_rank_probability, min_distance,
                                     random_generator, random_linear_code,
@@ -14,7 +15,7 @@ from insdelcode.hamming_ecc import (ConcatenatedBinaryCode, LinearCode,
 from insdelcode.linalg import identity, matvec, rank
 from oracles import (concatenated_inner_symbols_reference,
                      nearest_codeword_scan, pairwise_min_hamming,
-                     rs_decode_bw_reference)
+                     rs_decode_bw_reference, rs_encode_matvec_reference)
 
 
 def test_rs_build_examples():
@@ -157,6 +158,65 @@ def test_gao_matches_berlekamp_welch_reference(field, n, m):
         assert got == expected
         outcomes.add("failure" if got is None else got == msg)
     assert {"failure", True} <= outcomes
+
+
+@pytest.mark.parametrize("field, n, m", [
+    (PrimeField(2), 2, 1), (PrimeField(3), 3, 2), (PrimeField(5), 4, 2),
+    (PrimeField(7), 6, 3), (PrimeField(11), 10, 4), (PrimeField(13), 12, 4),
+    (BinaryField(3), 7, 2), (BinaryField(4), 12, 4), (BinaryField(6), 60, 40),
+    (BinaryField(20), 16, 6), (BinaryField(100), 40, 32)])
+def test_encode_matches_generator_matvec_reference(field, n, m):
+    rng = np.random.default_rng([n, m, 7])
+    shuffled = [int(v) for v in rng.permutation(n)]
+    distinct = sorted({int(v) for v in field.sample(rng, 4 * n)})
+    codes = [rs_build(field, n, m), rs_build(field, n, m, shuffled),
+             rs_build(field, n, m, strategy="brute-force-nearest")]
+    if len(distinct) >= n:  # points anywhere in the field
+        codes.append(rs_build(field, n, m, distinct[:n]))
+    for code in codes:
+        for _ in range(10):
+            msg = [int(v) for v in field.sample(rng, m)]
+            assert code.encode(msg) == rs_encode_matvec_reference(code, msg)
+
+
+def test_generator_must_match_eval_points():
+    field = BinaryField(4)
+    code = rs_build(field, 10, 3)
+    bad = [list(row) for row in code.generator]
+    bad[2][5] ^= 1
+    for gen, points, strategy in [
+            (bad, code.eval_points, "reed-solomon"),
+            (bad, code.eval_points, "brute-force-nearest"),
+            (code.generator, code.eval_points[::-1], "reed-solomon"),
+            (code.generator, code.eval_points[:-1], "reed-solomon"),
+            (code.generator[::-1], code.eval_points, "reed-solomon")]:
+        with pytest.raises(ParameterError):
+            LinearCode(field, gen, code.d, strategy, points)
+    # repeated points give a Vandermonde generator that can still be full rank
+    rows = [[1] * 4, [1, 2, 3, 3]]
+    with pytest.raises(ParameterError):
+        LinearCode(PrimeField(5), rows, 2, "reed-solomon", [1, 2, 3, 3])
+    with pytest.raises(UsageError):
+        LinearCode(field, code.generator, code.d, "reed-solomon",
+                   code.eval_points[:-1] + [16])
+
+
+@pytest.mark.parametrize("field, n, m", [
+    (BinaryField(6), 60, 40), (BinaryField(6), 30, 12), (PrimeField(13), 12, 4),
+    (PrimeField(13), 13, 13)])
+def test_inverse_vandermonde_interpolates_like_lagrange(field, n, m):
+    rng = np.random.default_rng([n, m, 11])
+    points = [int(v) for v in rng.permutation(field.q)[:n]]
+    code = rs_build(field, n, m, points)
+    g0, inv_vandermonde = code._interpolation_map()
+    assert g0 == _poly_from_roots(points, field)
+    assert code._interpolation_map()[1] is inv_vandermonde  # built once
+    for trial in range(40):
+        word = [int(v) for v in field.sample(rng, n)]
+        if trial == 0:
+            word = [0] * n
+        assert (_trim(matvec(word, inv_vandermonde, field))
+                == _interpolate(points, word, g0, field))
 
 
 def test_decode_roundtrip_exhaustive_error_positions():

@@ -3,6 +3,7 @@ import pytest
 
 from insdelcode.errors import CapacityError, InvalidSpecError, UsageError
 from insdelcode.prg import PrgSpec, prg_bit, prg_generate, prg_verify_marginals
+from oracles import prg_generate_reference
 
 
 def test_spec_derivation():
@@ -85,3 +86,16 @@ def test_field_built_once_and_lazily():
     no_modulus = PrgSpec(10, w=70)  # no bundled degree-70 modulus
     with pytest.raises(InvalidSpecError):
         no_modulus.field()
+
+
+@pytest.mark.parametrize("spec", [
+    PrgSpec(20, w=5), PrgSpec(1, w=3), PrgSpec(100, w=20),
+    PrgSpec(300, epsilon=0.01), PrgSpec(150, w=40), PrgSpec(64, w=100)])
+def test_stream_matches_frozen_reference(spec):
+    rng = np.random.default_rng(spec.w)
+    seeds = [0, 1, (1 << spec.d) - 1] + [
+        int(rng.integers(0, 1 << 62)) % (1 << spec.d) for _ in range(5)]
+    for seed in seeds:
+        got = prg_generate(spec, seed)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, prg_generate_reference(spec, seed))
