@@ -3,12 +3,19 @@
 Strings are sequences of symbols (ints, or anything numpy can compare);
 everything is converted to int64 arrays internally.  Only insertions and
 deletions are modeled: a substitution is a deletion followed by an insertion.
+
+LCS lengths come from one bit-parallel kernel (L. Allison and T. I. Dix,
+"A bit-string longest-common-subsequence algorithm", IPL 23, 1986;
+H. Hyyrö, "Bit-parallel LCS-length computation revisited", AWOCA 2004),
+vectorized over a batch of (pattern, text) rows: one uint64 state word per
+row for patterns of at most 63 symbols, one Python int per row beyond.  The
+alignments of `lcs` and `edit_distance` come from a full numpy LCS table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -59,18 +66,91 @@ def lcs(x: Symbols, y: Symbols) -> tuple[int, list[tuple[int, int]]]:
     return int(L[len(xa), len(ya)]), pairs
 
 
+WORD_BITS = 63        # longest pattern held in one uint64 state word
+PACK_CELLS = 1 << 22  # most match-mask bits a batch packs at once
+
+
+def pack_bits(bits: np.ndarray) -> np.ndarray:
+    """One word per row of a boolean array, bit p set where bits[..., p].
+
+    uint64 words when rows have at most WORD_BITS entries, Python ints in
+    an object array otherwise.
+    """
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    if bits.shape[-1] <= WORD_BITS:
+        words = np.zeros(packed.shape[:-1] + (8,), dtype=np.uint8)
+        words[..., :packed.shape[-1]] = packed
+        return words.view("<u8")[..., 0]
+    flat = packed.reshape(-1, packed.shape[-1])
+    return np.array([int.from_bytes(row.tobytes(), "little") for row in flat],
+                    dtype=object).reshape(bits.shape[:-1])
+
+
+_bit_count = np.frompyfunc(int.bit_count, 1, 1)
+
+
+def popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits of each uint64 or Python-int word, as int64."""
+    if words.dtype == object:
+        return _bit_count(words).astype(np.int64)
+    return np.bitwise_count(words).astype(np.int64)
+
+
+def lcs_scan(full: np.ndarray,
+             masks: Iterable[np.ndarray]) -> Iterator[np.ndarray]:
+    """The bit-parallel LCS state of a batch of rows, after each step.
+
+    full[r] has a bit at each pattern position of row r; the t-th entry of
+    masks has, for each row, the bits of full[r] whose pattern symbol equals
+    the row's t-th text symbol (0 once that text has ended, which leaves the
+    row unchanged).  The state V starts at full, and each step sets
+    U = V & M and V = ((V + U) | (V - U)) & full.  After t steps, the LCS
+    length of row r's pattern and the first t symbols of its text is the
+    number of zero bits of V[r] inside full[r]:
+    popcount(full) - popcount(V).  Carries never leave a row's bits, so a
+    pattern may start at any bit.
+    """
+    v = full
+    for m in masks:
+        u = v & m
+        v = ((v + u) | (v - u)) & full
+        yield v
+
+
+def _padded(words: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Words as rows of one int64 matrix, and the mask of real entries."""
+    lengths = np.array([len(w) for w in words], dtype=np.int64)
+    valid = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    out = np.zeros(valid.shape, dtype=np.int64)
+    out[valid] = np.concatenate(words)
+    return out, valid
+
+
+def _lcs_rows(x: np.ndarray, x_valid: np.ndarray, y: np.ndarray,
+              y_valid: np.ndarray) -> np.ndarray:
+    """LCS length of the pattern x[r][x_valid[r]] and the text
+    y[r][y_valid[r]] for every row r.
+
+    Match masks are packed for blocks of text steps, each of at most about
+    PACK_CELLS pattern bits.
+    """
+    block = max(1, PACK_CELLS // (len(x) * max(x.shape[1], WORD_BITS + 1)))
+    masks = (mask for t in range(0, y.shape[1], block)
+             for mask in pack_bits((x[:, None, :] == y[:, t:t + block, None])
+                                   & x_valid[:, None, :]
+                                   & y_valid[:, t:t + block, None]).T)
+    full = v = pack_bits(x_valid)
+    for v in lcs_scan(full, masks):
+        pass
+    return popcount(full) - popcount(v)
+
+
 def lcs_length(x: Symbols, y: Symbols) -> int:
     xa, ya = _as_array(x), _as_array(y)
-    if len(xa) == 0 or len(ya) == 0:
-        return 0
-    # two-row variant of _lcs_table; no traceback needed
-    prev = np.zeros(len(ya) + 1, dtype=np.int64)
-    for xi in xa:
-        eq = (ya == xi).astype(np.int64)
-        cand = np.maximum(prev[1:], prev[:-1] + eq)
-        cur = np.maximum.accumulate(cand)
-        prev[1:] = cur
-    return int(prev[-1])
+    if len(xa) > len(ya):  # the shorter word is the pattern
+        xa, ya = ya, xa
+    words, valid = _padded([xa, ya])
+    return int(_lcs_rows(words[:1], valid[:1], words[1:], valid[1:])[0])
 
 
 @dataclass(frozen=True)
@@ -169,16 +249,23 @@ def insdel_channel(z: Symbols, n_ins: int, n_del: int, seed,
 
 
 def min_pairwise_edit_distance(codewords: Sequence[Symbols]) -> int:
-    """Exact minimum edit distance over all distinct pairs."""
+    """Exact minimum edit distance over all distinct pairs.
+
+    The pairs run through the LCS kernel in batches of consecutive pattern
+    words, each batch packing at most about PACK_CELLS pattern bits.
+    """
     if len(codewords) < 2:
         raise UsageError("need at least 2 codewords")
-    arrays = [_as_array(c) for c in codewords]
+    words, valid = _padded([_as_array(c) for c in codewords])
+    lengths = valid.sum(axis=1)
+    count, width = words.shape
+    block = max(1, PACK_CELLS // (count * width * max(width, WORD_BITS + 1)))
+    later = np.arange(count)
     best = None
-    for i in range(len(arrays)):
-        for j in range(i + 1, len(arrays)):
-            d = len(arrays[i]) + len(arrays[j]) - 2 * lcs_length(arrays[i], arrays[j])
-            if best is None or d < best:
-                best = d
-                if best == 0:
-                    return 0
+    for start in range(0, count - 1, block):
+        a, b = np.nonzero(later > np.arange(start, start + block)[:, None])
+        a += start
+        d = lengths[a] + lengths[b] - 2 * _lcs_rows(words[a], valid[a],
+                                                    words[b], valid[b])
+        best = int(d.min()) if best is None else min(best, int(d.min()))
     return best

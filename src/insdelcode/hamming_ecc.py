@@ -183,7 +183,9 @@ class LinearCode:
             raise ParameterError(f"message length {m} exceeds block length {n}")
         if d < 1 or d > n:
             raise ParameterError(f"designed distance {d} out of range for n={n}")
-        if linalg.rank(generator, field) != m:
+        # given eval_points, the check below that the generator is their
+        # Vandermonde matrix proves full rank: m <= n points are distinct
+        if eval_points is None and linalg.rank(generator, field) != m:
             raise ParameterError("generator matrix is not full rank")
         if strategy == "reed-solomon" and eval_points is None:
             raise UsageError("reed-solomon strategy requires eval_points")

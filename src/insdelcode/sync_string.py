@@ -7,6 +7,10 @@ receiver re-derive coordinate indices after insertions and deletions; here
 recovery is a global minimum-edit-distance (LCS) alignment between the
 received symbol stream and s, which at desk scale is simpler than the
 streaming indexers and behaves well empirically.
+
+The verifier checks all O(n^3) interval triples exactly, with the
+bit-parallel LCS kernel of `editops` batched over the n(n - 1)/2 interval
+pairs: n - 1 vector steps in all.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .editops import _lcs_table, lcs
+from .editops import lcs, lcs_scan, pack_bits, popcount
 from .errors import CapacityError, ConstructionFailure, UsageError
 
 MAX_VERIFY_N = 60
@@ -57,23 +61,36 @@ def verify_eta(s: SyncString,
                budget_n: int = MAX_VERIFY_N) -> tuple[bool, Optional[tuple]]:
     """Exact check of the interval criterion; returns (ok, violating triple).
 
-    One LCS table per interval start pair covers every right endpoint, so the
-    cost is O(n^4) table cells overall.
+    The triple (i, j, k) is the first violation in i, j, k order.  Every
+    pair i < j is one row of the bit-parallel LCS kernel: its pattern is
+    s[:j] with the bits below i masked off, which behaves exactly as the
+    pattern s[i:j], and step t feeds it s[j + t - 1], giving
+    LCS(s[i:j], s[j:k]) for k = j + t.  So the check takes n - 1 vector
+    steps over the n(n - 1)/2 rows.
     """
     n = s.n
     if n > budget_n:
         raise CapacityError(f"verify_eta budget is n <= {budget_n}, got {n}")
     sym = np.asarray(s.symbols, dtype=np.int64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            left = sym[i:j]
-            table = _lcs_table(left, sym[j:])
-            last = table[len(left)]
-            for k in range(j + 1, n + 1):
-                ed = (j - i) + (k - j) - 2 * int(last[k - j])
-                if ed <= (1.0 - s.eta) * (k - i):
-                    return False, (i, j, k)
-    return True, None
+    i, j = np.triu_indices(n, 1)  # one row per pair, in (i, j) order
+    pos = np.arange(n)
+    full = pack_bits((pos >= i[:, None]) & (pos < j[:, None]))
+    # same[p] marks the positions holding the symbol at p, 0 past the end
+    same = np.concatenate([pack_bits(sym == sym[:, None]),
+                           np.zeros(n, dtype=full.dtype)])
+    masks = (same[j + t] & full for t in range(n - 1))
+    width = popcount(full)
+    first = np.zeros(len(i), dtype=np.int64)  # first violating k, 0 if none
+    for t, v in enumerate(lcs_scan(full, masks), 1):
+        k = j + t
+        ed = (k - i) - 2 * (width - popcount(v))
+        bad = (k <= n) & (first == 0) & (ed <= (1.0 - s.eta) * (k - i))
+        first[bad] = k[bad]
+    hit = np.flatnonzero(first)
+    if hit.size == 0:
+        return True, None
+    r = hit[0]
+    return False, (int(i[r]), int(j[r]), int(first[r]))
 
 
 def construct_sync_string(n0: int, eta: float, seed,

@@ -524,3 +524,52 @@ def prg_generate_reference(spec, seed):
         out[i] = bin(xp & y).count("1") & 1
         xp = fld.mul(xp, x)
     return out
+
+
+def _lcs_last_row_reference(x, y):
+    """Row len(x) of the LCS table of x against every prefix of y (numpy
+    row DP, one running maximum per row)."""
+    xa = np.asarray(x, dtype=np.int64)
+    ya = np.asarray(y, dtype=np.int64)
+    prev = np.zeros(len(ya) + 1, dtype=np.int64)
+    for xi in xa:
+        eq = (ya == xi).astype(np.int64)
+        cand = np.maximum(prev[1:], prev[:-1] + eq)
+        prev[1:] = np.maximum.accumulate(cand)
+    return prev
+
+
+def lcs_length_reference(x, y) -> int:
+    """LCS length by the two-row numpy DP the bit-parallel kernel
+    replaced."""
+    return int(_lcs_last_row_reference(x, y)[-1])
+
+
+def min_pairwise_edit_distance_reference(codewords) -> int:
+    """Minimum edit distance over all distinct pairs, one LCS per pair."""
+    arrays = [np.asarray(c, dtype=np.int64) for c in codewords]
+    best = None
+    for i in range(len(arrays)):
+        for j in range(i + 1, len(arrays)):
+            d = len(arrays[i]) + len(arrays[j]) \
+                - 2 * lcs_length_reference(arrays[i], arrays[j])
+            if best is None or d < best:
+                best = d
+                if best == 0:
+                    return 0
+    return best
+
+
+def verify_eta_reference(symbols, eta):
+    """The interval criterion with one LCS table per (i, j) covering every
+    right endpoint k: (ok, first violating (i, j, k) in i, j, k order)."""
+    sym = np.asarray(symbols, dtype=np.int64)
+    n = len(sym)
+    for i in range(n):
+        for j in range(i + 1, n):
+            last = _lcs_last_row_reference(sym[i:j], sym[j:])
+            for k in range(j + 1, n + 1):
+                ed = (j - i) + (k - j) - 2 * int(last[k - j])
+                if ed <= (1.0 - eta) * (k - i):
+                    return False, (i, j, k)
+    return True, None

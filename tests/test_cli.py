@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from insdelcode.cli import main
 from insdelcode.formats import read_json, read_values, write_json, write_values
+from oracles import verify_eta_reference
 
 
 def run(*argv):
@@ -102,6 +104,26 @@ def test_sync_build_and_verify(tmp_path, capsys):
     assert run("sync", "verify", "--in", sync) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] is True
+
+
+def test_sync_verify_wide_string_follows_oracle(tmp_path, capsys):
+    rng = np.random.default_rng(80)
+    outcomes = set()
+    for alphabet in (1 << 20, 3):
+        syms = [int(v) for v in rng.integers(0, alphabet, 80)]
+        spec = tmp_path / "sync.json"
+        write_json(spec, {"eta": 0.3, "alphabet_size": alphabet,
+                          "symbols": syms})
+        ok, triple = verify_eta_reference(syms, 0.3)
+        assert run("sync", "verify", "--in", spec, "--budget", 80) == \
+            (0 if ok else 1)
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        report = json.loads(captured.out)
+        assert report["ok"] is ok
+        assert report["violation"] == (None if ok else list(triple))
+        outcomes.add(ok)
+    assert outcomes == {True, False}
 
 
 def test_affine_cli_roundtrip(tmp_path):

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from insdelcode import editops
 from insdelcode.editops import (EditScript, edit_distance, edit_distance_only,
                                 insdel_channel, lcs, lcs_length,
-                                min_pairwise_edit_distance)
+                                min_pairwise_edit_distance, pack_bits)
 from insdelcode.errors import UsageError
 from oracles import (edit_distance_recursive, insdel_channel_reference,
-                     lcs_recursive)
+                     lcs_length_reference, lcs_recursive,
+                     min_pairwise_edit_distance_reference)
 
 words = st.lists(st.integers(0, 3), max_size=12)
 
@@ -131,6 +133,56 @@ def test_min_pairwise_matches_recursive_oracle():
                for i in range(8) for j in range(i + 1, 8))
     assert got == want
     del rng
+
+
+def test_pack_bits_word_or_python_int():
+    rng = np.random.default_rng(5)
+    for width in (0, 1, 8, 63, 64, 65, 130):
+        bits = rng.integers(0, 2, size=(7, width)).astype(bool)
+        words = pack_bits(bits)
+        assert words.shape == (7,)
+        assert words.dtype == (np.uint64 if width <= 63 else object)
+        assert [int(w) for w in words] == [
+            sum(1 << int(p) for p in np.flatnonzero(row)) for row in bits]
+
+
+def test_lcs_length_matches_row_dp_reference():
+    rng = np.random.default_rng(64)
+    lengths = [0, 1, 2, 62, 63, 64, 65, 100, 130]
+    for trial in range(600):
+        if trial < len(lengths) ** 2:
+            nx, ny = lengths[trial // len(lengths)], lengths[trial % len(lengths)]
+        else:
+            nx, ny = (int(v) for v in rng.integers(0, 140, size=2))
+        q = int(rng.choice([2, 3, 20]))
+        x = rng.integers(0, q, nx)
+        y = rng.integers(0, q, ny)
+        if trial % 3 == 0:  # hash()-valued symbols fill the int64 range
+            x = [hash(("x", int(v))) for v in x]
+            y = [hash(("x", int(v))) for v in y]
+        want = lcs_length_reference(x, y)
+        assert lcs_length(x, y) == want
+        assert lcs_length(y, x) == want
+
+
+def test_min_pairwise_matches_one_lcs_per_pair_reference(monkeypatch):
+    rng = np.random.default_rng(65)
+    zeros = 0
+    for trial in range(120):
+        count = int(rng.integers(2, 12))
+        top = 80 if trial % 4 == 0 else 12
+        words = [list(rng.integers(0, 3, int(rng.integers(0, top))))
+                 for _ in range(count)]
+        if trial % 5 == 0:  # a duplicate word makes the answer 0
+            words.insert(int(rng.integers(0, count)),
+                         list(words[int(rng.integers(0, count))]))
+        want = min_pairwise_edit_distance_reference(words)
+        zeros += want == 0
+        assert min_pairwise_edit_distance(words) == want
+        with monkeypatch.context() as patch:  # one pattern word per batch
+            patch.setattr(editops, "PACK_CELLS", 1)
+            assert min_pairwise_edit_distance(words) == want
+    assert 0 < zeros < 120
 
 
 def test_script_apply_positions_are_sequential():

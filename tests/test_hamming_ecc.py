@@ -201,6 +201,28 @@ def test_generator_must_match_eval_points():
                    code.eval_points[:-1] + [16])
 
 
+def test_rs_generator_builds_without_elimination(monkeypatch):
+    def no_rank(*args):
+        raise AssertionError("linalg.rank called")
+
+    code = rs_build(BinaryField(100), 40, 32)
+    spec = code.to_json()
+    monkeypatch.setattr("insdelcode.linalg.rank", no_rank)
+    assert rs_build(BinaryField(100), 40, 32).to_json() == spec
+    again = LinearCode.from_json(spec)
+    assert again.to_json() == spec
+    msg = list(range(1, 33))
+    assert again.encode(msg) == code.encode(msg)
+    # the Vandermonde check alone rejects duplicate and mismatched points
+    field = BinaryField(4)
+    small = rs_build(field, 10, 3)
+    for gen, points in [(small.generator, small.eval_points[::-1]),
+                        (small.generator, small.eval_points[:-1]),
+                        ([[1] * 4, [1, 2, 3, 3]], [1, 2, 3, 3])]:
+        with pytest.raises(ParameterError):
+            LinearCode(field, gen, 2, "reed-solomon", points)
+
+
 @pytest.mark.parametrize("field, n, m", [
     (BinaryField(6), 60, 40), (BinaryField(6), 30, 12), (PrimeField(13), 12, 4),
     (PrimeField(13), 13, 13)])
@@ -380,3 +402,8 @@ def test_generator_rank_enforced():
     field = PrimeField(2)
     with pytest.raises(ParameterError):
         LinearCode(field, [[1, 0, 1], [1, 0, 1]], 1)
+    big = BinaryField(100)
+    gen = random_generator(big, 3, 6, 4)
+    gen[2] = list(gen[0])
+    with pytest.raises(ParameterError):
+        LinearCode(big, gen, 2)

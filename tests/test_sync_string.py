@@ -5,7 +5,9 @@ from insdelcode.editops import insdel_channel
 from insdelcode.errors import CapacityError, UsageError
 from insdelcode.sync_string import (SyncString, construct_sync_string,
                                     index_recovery, verify_eta)
-from oracles import edit_distance_recursive
+from oracles import edit_distance_recursive, verify_eta_reference
+
+ETAS = (0.01, 0.1, 0.3, 0.5, 0.7, 0.9)
 
 
 def test_two_distinct_symbols_pass():
@@ -37,6 +39,40 @@ def test_verify_matches_recursive_oracle():
                         want = False
         assert ok == want
         outcomes.add(ok)
+    assert outcomes == {True, False}
+
+
+def test_verify_matches_table_reference():
+    rng = np.random.default_rng(63)
+    outcomes = set()
+    for trial in range(2000):
+        eta = ETAS[trial % len(ETAS)]
+        long = trial % 40 == 0
+        n = int(rng.integers(25, 61)) if long else int(rng.integers(1, 25))
+        alphabet = int(rng.choice([2, 3, 8, 64, 1 << 20]))
+        syms = tuple(int(v) for v in rng.integers(0, alphabet, n))
+        got = verify_eta(SyncString(syms, eta, alphabet))
+        assert got == verify_eta_reference(syms, eta)
+        outcomes.add((got[0], long))
+    assert outcomes == {(True, False), (False, False), (True, True),
+                        (False, True)}
+
+
+def test_verify_wide_strings_match_table_reference():
+    # more than 63 symbols: the kernel runs on Python ints
+    rng = np.random.default_rng(66)
+    outcomes = set()
+    for n, alphabet, repeat in [(61, 1 << 20, None), (64, 4, None),
+                                (72, 1 << 20, 40), (80, 1 << 20, None)]:
+        syms = [int(v) for v in rng.integers(0, alphabet, n)]
+        if repeat is not None:  # one late violation
+            syms[repeat + 1] = syms[repeat]
+        s = SyncString(tuple(syms), 0.3, alphabet)
+        with pytest.raises(CapacityError):
+            verify_eta(s)
+        got = verify_eta(s, budget_n=n)
+        assert got == verify_eta_reference(syms, 0.3)
+        outcomes.add(got[0])
     assert outcomes == {True, False}
 
 
