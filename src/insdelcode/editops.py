@@ -259,7 +259,8 @@ def min_pairwise_edit_distance(codewords: Sequence[Symbols]) -> int:
     words, valid = _padded([_as_array(c) for c in codewords])
     lengths = valid.sum(axis=1)
     count, width = words.shape
-    block = max(1, PACK_CELLS // (count * width * max(width, WORD_BITS + 1)))
+    cells = count * max(width, 1) * max(width, WORD_BITS + 1)  # per word
+    block = max(1, PACK_CELLS // cells)
     later = np.arange(count)
     best = None
     for start in range(0, count - 1, block):

@@ -113,6 +113,8 @@ def test_channel_usage_errors():
 def test_min_pairwise_examples():
     assert min_pairwise_edit_distance([[1, 2], [1, 2], [0, 0]]) == 0
     assert min_pairwise_edit_distance([[0, 0], [1, 1]]) == 4
+    assert min_pairwise_edit_distance([[], []]) == 0
+    assert min_pairwise_edit_distance([[], [1, 2], [1]]) == 1
     with pytest.raises(UsageError):
         min_pairwise_edit_distance([[1]])
 
