@@ -120,18 +120,14 @@ class AffineCode:
                            dtype=np.int64).reshape(-1, self.content_len)
         sync = _pack(stacked[:, self._sync_cols])
         data = _pack(stacked[:, self._data_cols])
+        # assigned indices strictly increase, so no position is read twice,
+        # and the positions left unread are the assignment's erasures
         assignment = index_recovery(sync, self.sync)
-        word: list[Optional[int]] = [None] * self.n0
+        word = [0] * self.n0
         for value, idx in zip(data, assignment.assigned):
-            if idx is None:
-                continue
-            if word[idx] is not None:
-                word[idx] = None  # conflicting readings: erase the position
-                continue
-            word[idx] = value
-        erasures = [i for i, v in enumerate(word) if v is None]
-        filled = [0 if v is None else v for v in word]
-        return self.inner.decode(filled, erasures=erasures)
+            if idx is not None:
+                word[idx] = value
+        return self.inner.decode(word, erasures=assignment.erasures)
 
     def decode_bits(self, received: Sequence[int]) -> list[int]:
         return _unpack(self.decode(received), self.l0).ravel().tolist()

@@ -133,9 +133,19 @@ def _cmd_insdel_decode(args) -> int:
     return 0
 
 
+def _codeword_alphabet(code) -> int:
+    """Number of symbols a codeword is written in: the channel inserts
+    these."""
+    if isinstance(code, AffineCode):
+        return 2
+    if isinstance(code, SystematicInsdelCode):
+        return code.code.field.q
+    return code.field.q
+
+
 def _cmd_insdel_corrupt(args) -> int:
     if args.code:
-        q = _load_code(args.code).field.q
+        q = _codeword_alphabet(_load_code(args.code))
     elif args.q:
         q = args.q
     else:
@@ -260,6 +270,14 @@ def _cmd_bounds(args) -> int:
     return 0
 
 
+def _load_insdel_code(path: str) -> InsdelCode:
+    code = _load_code(path)
+    if not isinstance(code, InsdelCode):
+        raise UsageError(f"code_file {path} must hold an insdel code spec "
+                         f"(kind 'insdel'), not a {type(code).__name__}")
+    return code
+
+
 def _parse_experiment(cfg: dict):
     """Experiment config -> the harness call it asks for, not yet run."""
     kind = cfg.get("kind")
@@ -276,12 +294,12 @@ def _parse_experiment(cfg: dict):
             int(cfg["trials"]), base_seed)
     if kind == "decode_success_sweep":
         return partial(
-            harness.decode_success_sweep, _load_code(cfg["code_file"]),
+            harness.decode_success_sweep, _load_insdel_code(cfg["code_file"]),
             int(cfg["k_max"]), int(cfg["trials_per_k"]), base_seed)
     if kind == "systematic_insdel_wrapper":
         return partial(
             harness.systematic_insdel_wrapper_experiment,
-            _load_code(cfg["code_file"]), int(cfg["trials"]), base_seed,
+            _load_insdel_code(cfg["code_file"]), int(cfg["trials"]), base_seed,
             kappa=cfg.get("kappa"))
     raise UsageError(f"unknown experiment kind {kind!r}")
 

@@ -22,7 +22,8 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from . import linalg
-from .errors import (CapacityError, DecodeFailure, ParameterError, UsageError)
+from .errors import (CapacityError, DecodeFailure, InvalidSpecError,
+                     ParameterError, UsageError)
 from .gf import BinaryField, Field, field_from_json
 
 BRUTE_FORCE_CAP = 1 << 20  # largest q^m a brute-force decode will scan
@@ -160,19 +161,16 @@ def _poly_divmod(num: list[int], den: list[int], field: Field):
 class LinearCode:
     """An (n, m, d) linear code given by a full-rank generator matrix.
 
-    decoder strategies:
-      "reed-solomon"        Gao's errors-and-erasures decoder (needs
-                            eval_points)
-      "brute-force-nearest" scan all q^m codewords (q^m <= 2^20)
-
-    Given eval_points, the generator must be their Vandermonde matrix (row
-    i holds the i-th powers): the code is then Reed-Solomon, and encoding
-    over fields that are not word-sized evaluates the message polynomial
-    at the points by Horner's rule.
+    The evaluation points decide the code and its decoder.  Given
+    eval_points, the code is Reed-Solomon: the generator must be their
+    Vandermonde matrix (row i holds the i-th powers), d must be n - m + 1,
+    decoding is Gao's errors-and-erasures decoder, and encoding over fields
+    that are not word-sized evaluates the message polynomial at the points
+    by Horner's rule.  Without them, the generator must have full rank and
+    decoding scans all q^m codewords (q^m <= 2^20).
     """
 
     def __init__(self, field: Field, generator: linalg.Matrix, d: int,
-                 strategy: str = "brute-force-nearest",
                  eval_points: Optional[list[int]] = None):
         generator = [[field.check(v) for v in row] for row in generator]
         m = len(generator)
@@ -187,10 +185,6 @@ class LinearCode:
         # Vandermonde matrix proves full rank: m <= n points are distinct
         if eval_points is None and linalg.rank(generator, field) != m:
             raise ParameterError("generator matrix is not full rank")
-        if strategy == "reed-solomon" and eval_points is None:
-            raise UsageError("reed-solomon strategy requires eval_points")
-        if strategy not in ("reed-solomon", "brute-force-nearest"):
-            raise UsageError(f"unknown decoder strategy {strategy!r}")
         if eval_points is not None:
             eval_points = [field.check(p) for p in eval_points]
             if (len(set(eval_points)) != len(eval_points)
@@ -198,6 +192,12 @@ class LinearCode:
                 raise ParameterError(
                     "generator is not the Vandermonde matrix of n distinct "
                     "evaluation points")
+            # Gao's success test bounds 2 errors + erasures by n - m, which
+            # is the radius only when d = n - m + 1
+            if d != n - m + 1:
+                raise ParameterError(
+                    f"a Reed-Solomon code has d = n - m + 1 = {n - m + 1}, "
+                    f"got d={d}")
         self.field = field
         self.generator = generator
         self._generator_array = np.array(
@@ -206,9 +206,14 @@ class LinearCode:
         self.m = m
         self.d = d
         self.kappa = (d - 1) // 2
-        self.strategy = strategy
         self.eval_points = eval_points
         self._interpolation = None  # (g0, inverse Vandermonde), on first use
+
+    @property
+    def strategy(self) -> str:
+        """The decoder, as the JSON spec names it."""
+        return ("brute-force-nearest" if self.eval_points is None
+                else "reed-solomon")
 
     # -- encoding ---------------------------------------------------------
 
@@ -255,19 +260,9 @@ class LinearCode:
         if era and (era[0] < 0 or era[-1] >= self.n):
             raise UsageError("erasure position out of range")
         word = [self.field.check(v) for v in received]
-        if self.strategy == "reed-solomon":
-            return self._decode_gao(word, era)
-        return self._decode_brute(word, era)
-
-    def _check_radius(self, msg: list[int], received: list[int],
-                      era: list[int]) -> Optional[list[int]]:
-        cw = self.encode(msg)
-        era_set = set(era)
-        e = sum(1 for i in range(self.n)
-                if i not in era_set and cw[i] != received[i])
-        if 2 * e + len(era) <= self.d - 1:
-            return msg
-        return None
+        if self.eval_points is None:
+            return self._decode_brute(word, era)
+        return self._decode_gao(word, era)
 
     def _codeword_table(self) -> np.ndarray:
         if getattr(self, "_cw_cache", None) is None:
@@ -334,11 +329,7 @@ class LinearCode:
             raise DecodeFailure("error locator does not divide the remainder")
         if len(f) > m:
             raise DecodeFailure("interpolated polynomial degree too high")
-        msg = f + [0] * (m - len(f))
-        result = self._check_radius(msg, received, era)
-        if result is None:
-            raise DecodeFailure("candidate codeword is beyond the radius")
-        return result
+        return f + [0] * (m - len(f))
 
     def _interpolation_map(self) -> tuple[list[int], np.ndarray]:
         """g0 = prod (x - a_i) over all points, and the inverse of the n x n
@@ -364,14 +355,18 @@ class LinearCode:
 
     @classmethod
     def from_json(cls, spec: dict) -> "LinearCode":
+        strategy = spec.get("strategy", "brute-force-nearest")
+        points = spec.get("eval_points")
+        if strategy not in ("reed-solomon", "brute-force-nearest"):
+            raise InvalidSpecError(f"unknown decoder strategy {strategy!r}")
+        if strategy == "reed-solomon" and points is None:
+            raise InvalidSpecError("reed-solomon spec requires eval_points")
         return cls(field_from_json(spec["field"]), spec["generator"],
-                   int(spec["d"]), spec.get("strategy", "brute-force-nearest"),
-                   spec.get("eval_points"))
+                   int(spec["d"]), points)
 
 
 def rs_build(field: Field, n: int, m: int,
-             eval_points: Optional[Sequence[int]] = None,
-             strategy: str = "reed-solomon") -> LinearCode:
+             eval_points: Optional[Sequence[int]] = None) -> LinearCode:
     """Reed-Solomon code: evaluate degree-<m polynomials at n distinct points.
 
     d = n - m + 1 (MDS); the generator is the Vandermonde matrix of the
@@ -388,7 +383,7 @@ def rs_build(field: Field, n: int, m: int,
     if len(eval_points) != n or len(set(eval_points)) != n:
         raise UsageError("evaluation points must be n distinct elements")
     return LinearCode(field, _vandermonde(eval_points, m, field), n - m + 1,
-                      strategy, list(eval_points))
+                      list(eval_points))
 
 
 def random_generator(field: Field, m: int, n: int, seed) -> linalg.Matrix:
@@ -414,8 +409,7 @@ def random_linear_code(field: Field, m: int, n: int, seed,
     for attempt in range(max_attempts):
         gen = random_generator(field, m, n, [seed, attempt])
         if linalg.rank(gen, field) == m:
-            return LinearCode(field, gen, min_distance(field, gen),
-                              "brute-force-nearest")
+            return LinearCode(field, gen, min_distance(field, gen))
     raise ParameterError(f"no full-rank generator found in {max_attempts} attempts")
 
 

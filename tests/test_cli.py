@@ -45,13 +45,14 @@ def test_code_build_and_roundtrip(tmp_path):
 
 
 def test_decode_failure_exit_code(tmp_path, capsys):
-    from insdelcode.hamming_ecc import rs_build
+    from insdelcode.hamming_ecc import LinearCode, rs_build
     from insdelcode.gf import PrimeField
     code_file = tmp_path / "code.json"
     run("code", "build", "--kind", "rs", "--prime", "7", "--n", "6",
         "--m", "2", "--out", code_file)
     # pick a word whose nearest codeword sits beyond the radius
-    probe = rs_build(PrimeField(7), 6, 2, strategy="brute-force-nearest")
+    rs = rs_build(PrimeField(7), 6, 2)
+    probe = LinearCode(PrimeField(7), rs.generator, rs.d)
     word_vals = None
     import itertools
     for cand in itertools.product(range(7), repeat=6):
@@ -228,6 +229,74 @@ def test_rs_spec_generator_off_its_points_exits_2(tmp_path, capsys, edit):
     err = capsys.readouterr().err
     assert rc == 2
     assert "Vandermonde" in err and "Traceback" not in err
+
+
+def test_rs_spec_off_mds_distance_exits_2(tmp_path, capsys):
+    code_file = tmp_path / "code.json"
+    assert run("code", "build", "--kind", "rs", "--prime", "7", "--n", "6",
+               "--m", "2", "--out", code_file) == 0
+    spec = read_json(code_file)
+    spec["d"] = 3
+    write_json(code_file, spec)
+    word = tmp_path / "word.json"
+    write_values(word, [0] * 6)
+    rc = run("insdel", "decode", "--code", code_file, "--in", word,
+             "--out", tmp_path / "out.json")
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "n - m + 1" in err and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def code_specs(tmp_path_factory):
+    """One spec file of each kind: rs, insdel, systematic, affine."""
+    root = tmp_path_factory.mktemp("specs")
+    specs = {kind: root / f"{kind}.json"
+             for kind in ("rs", "insdel", "systematic", "affine")}
+    assert run("code", "build", "--kind", "rs", "--prime", "7", "--n", "6",
+               "--m", "2", "--out", specs["rs"]) == 0
+    assert run("code", "build", "--kind", "insdel-mc", "--prime", "11",
+               "--n", "10", "--m", "4", "--seed", "5", "--f", "0.34",
+               "--a", "12", "--out", specs["insdel"]) == 0
+    assert run("code", "build", "--kind", "systematic", "--base",
+               specs["insdel"], "--out", specs["systematic"]) == 0
+    assert run("code", "build", "--kind", "affine", "--epsilon", "0.25",
+               "--n0", "8", "--seed", "2", "--out", specs["affine"]) == 0
+    return specs
+
+
+@pytest.mark.parametrize("kind, q", [("rs", 7), ("insdel", 11),
+                                     ("systematic", 11), ("affine", 2)])
+def test_insdel_corrupt_draws_from_the_codeword_alphabet(
+        tmp_path, capsys, code_specs, kind, q):
+    from insdelcode.cli import _load_code
+    code = _load_code(code_specs[kind])
+    msg = [1] + [0] * (code.m - 1)
+    cw, out = tmp_path / "cw.json", tmp_path / "out.json"
+    write_values(cw, [int(v) for v in code.encode(msg)])
+    assert run("insdel", "corrupt", "--code", code_specs[kind], "--in", cw,
+               "--ins", "30", "--del", "1", "--seed", "3", "--out", out) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    word = read_values(out)
+    assert len(word) == code.n + 29
+    assert set(word) <= set(range(q))
+    assert max(word) >= min(q - 1, 2)  # 30 draws reach past the bits
+
+
+@pytest.mark.parametrize("experiment", ["decode_success_sweep",
+                                        "systematic_insdel_wrapper"])
+@pytest.mark.parametrize("kind", ["rs", "systematic", "affine"])
+def test_experiment_on_a_non_insdel_code_exits_2(tmp_path, capsys,
+                                                 code_specs, experiment,
+                                                 kind):
+    cfg = tmp_path / "cfg.json"
+    write_json(cfg, {"kind": experiment, "code_file": str(code_specs[kind]),
+                     "k_max": 1, "trials_per_k": 2, "trials": 2})
+    rc = run("experiment", "run", "--config", cfg,
+             "--out", tmp_path / "out.csv")
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "insdel code spec" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command, spec", [

@@ -70,11 +70,11 @@ def _outcome(code, word, erasures):
 
 def test_decode_beyond_radius_is_flagged():
     # past the radius a decoder may fail or land on another codeword within
-    # its radius; Berlekamp-Welch must give the nearest-codeword scan's verdict
+    # its radius; Gao's decoder must give the nearest-codeword scan's verdict
     verdicts = set()
     for field in (PrimeField(13), BinaryField(4)):
         rs = rs_build(field, 12, 4)  # d = 9
-        brute = rs_build(field, 12, 4, strategy="brute-force-nearest")
+        brute = LinearCode(field, rs.generator, rs.d)
         rng = np.random.default_rng(17)
         for _ in range(150):
             word = rs.encode([int(v) for v in field.sample(rng, 4)])
@@ -94,7 +94,7 @@ def test_decode_beyond_radius_is_flagged():
 def test_uncorrupted_roundtrip_strategies():
     field = PrimeField(13)
     rs = rs_build(field, 10, 4)
-    brute = rs_build(field, 10, 4, strategy="brute-force-nearest")
+    brute = LinearCode(field, rs.generator, rs.d)
     rng = np.random.default_rng(3)
     for _ in range(10):
         msg = [int(v) for v in rng.integers(0, 13, 4)]
@@ -103,10 +103,64 @@ def test_uncorrupted_roundtrip_strategies():
         assert brute.decode(cw) == msg
 
 
+@pytest.mark.parametrize("field, n, m", [(PrimeField(5), 5, 2),
+                                         (BinaryField(3), 4, 2)])
+def test_gao_decides_like_nearest_codeword_on_every_word(field, n, m):
+    # with d = n - m + 1 both decoders return the unique message within
+    # 2 errors + erasures <= d - 1, or fail; Gao's divisibility and degree
+    # tests are the whole radius check
+    rs = rs_build(field, n, m)
+    brute = LinearCode(field, rs.generator, rs.d)
+    singles = list(itertools.combinations(range(n), 1))
+    pairs = list(itertools.combinations(range(n), 2))
+    accepted = 0
+    for r, word in enumerate(itertools.product(range(field.q), repeat=n)):
+        word = list(word)
+        for era in ((), singles[r % len(singles)], pairs[r % len(pairs)]):
+            got = _outcome(rs, word, era)
+            assert got == _outcome(brute, word, era)
+            accepted += got != "failure"
+    assert 0 < accepted < 3 * field.q ** n
+
+
+def test_rs_code_needs_mds_distance():
+    rs = rs_build(PrimeField(7), 6, 2)  # d = 5
+    for d in (1, 4, 6):
+        with pytest.raises(ParameterError, match="n - m \\+ 1"):
+            LinearCode(rs.field, rs.generator, d, rs.eval_points)
+        with pytest.raises(ParameterError, match="n - m \\+ 1"):
+            LinearCode.from_json(dict(rs.to_json(), d=d))
+    # without points the declared d is the caller's
+    assert LinearCode(rs.field, rs.generator, 4).d == 4
+
+
+def test_linear_code_spec_strategy():
+    rs = rs_build(PrimeField(7), 6, 2)
+    spec = rs.to_json()
+    assert spec["strategy"] == "reed-solomon"
+    generic = LinearCode(rs.field, rs.generator, rs.d)
+    assert generic.to_json()["strategy"] == "brute-force-nearest"
+    assert LinearCode.from_json(generic.to_json()).eval_points is None
+    with pytest.raises(UsageError, match="unknown decoder strategy"):
+        LinearCode.from_json(dict(spec, strategy="nearest"))
+    points_free = {k: v for k, v in spec.items() if k != "eval_points"}
+    with pytest.raises(UsageError, match="requires eval_points"):
+        LinearCode.from_json(points_free)
+    # a brute-force spec with points is the Reed-Solomon code: same decisions
+    again = LinearCode.from_json(dict(spec, strategy="brute-force-nearest"))
+    assert again.to_json() == spec
+    word = rs.encode([3, 5])
+    word[1], word[4] = 0, 6
+    assert again.decode(word) == [3, 5]
+    word[2] = 1
+    with pytest.raises(DecodeFailure):
+        again.decode(word, erasures=[0])
+
+
 def test_bw_errors_and_erasures_matches_brute_oracle():
     field = PrimeField(13)
     code = rs_build(field, 10, 4)  # d = 7
-    brute = rs_build(field, 10, 4, strategy="brute-force-nearest")
+    brute = LinearCode(field, code.generator, code.d)
     rng = np.random.default_rng(17)
     for trial in range(120):
         msg = [int(v) for v in rng.integers(0, 13, 4)]
@@ -169,8 +223,9 @@ def test_encode_matches_generator_matvec_reference(field, n, m):
     rng = np.random.default_rng([n, m, 7])
     shuffled = [int(v) for v in rng.permutation(n)]
     distinct = sorted({int(v) for v in field.sample(rng, 4 * n)})
-    codes = [rs_build(field, n, m), rs_build(field, n, m, shuffled),
-             rs_build(field, n, m, strategy="brute-force-nearest")]
+    rs = rs_build(field, n, m)
+    codes = [rs, rs_build(field, n, m, shuffled),
+             LinearCode(field, rs.generator, rs.d)]
     if len(distinct) >= n:  # points anywhere in the field
         codes.append(rs_build(field, n, m, distinct[:n]))
     for code in codes:
@@ -184,21 +239,19 @@ def test_generator_must_match_eval_points():
     code = rs_build(field, 10, 3)
     bad = [list(row) for row in code.generator]
     bad[2][5] ^= 1
-    for gen, points, strategy in [
-            (bad, code.eval_points, "reed-solomon"),
-            (bad, code.eval_points, "brute-force-nearest"),
-            (code.generator, code.eval_points[::-1], "reed-solomon"),
-            (code.generator, code.eval_points[:-1], "reed-solomon"),
-            (code.generator[::-1], code.eval_points, "reed-solomon")]:
-        with pytest.raises(ParameterError):
-            LinearCode(field, gen, code.d, strategy, points)
+    for gen, points in [
+            (bad, code.eval_points),
+            (code.generator, code.eval_points[::-1]),
+            (code.generator, code.eval_points[:-1]),
+            (code.generator[::-1], code.eval_points)]:
+        with pytest.raises(ParameterError, match="Vandermonde"):
+            LinearCode(field, gen, code.d, points)
     # repeated points give a Vandermonde generator that can still be full rank
     rows = [[1] * 4, [1, 2, 3, 3]]
-    with pytest.raises(ParameterError):
-        LinearCode(PrimeField(5), rows, 2, "reed-solomon", [1, 2, 3, 3])
+    with pytest.raises(ParameterError, match="Vandermonde"):
+        LinearCode(PrimeField(5), rows, 3, [1, 2, 3, 3])
     with pytest.raises(UsageError):
-        LinearCode(field, code.generator, code.d, "reed-solomon",
-                   code.eval_points[:-1] + [16])
+        LinearCode(field, code.generator, code.d, code.eval_points[:-1] + [16])
 
 
 def test_rs_generator_builds_without_elimination(monkeypatch):
@@ -216,11 +269,11 @@ def test_rs_generator_builds_without_elimination(monkeypatch):
     # the Vandermonde check alone rejects duplicate and mismatched points
     field = BinaryField(4)
     small = rs_build(field, 10, 3)
-    for gen, points in [(small.generator, small.eval_points[::-1]),
-                        (small.generator, small.eval_points[:-1]),
-                        ([[1] * 4, [1, 2, 3, 3]], [1, 2, 3, 3])]:
-        with pytest.raises(ParameterError):
-            LinearCode(field, gen, 2, "reed-solomon", points)
+    for gen, points, d in [(small.generator, small.eval_points[::-1], small.d),
+                           (small.generator, small.eval_points[:-1], small.d),
+                           ([[1] * 4, [1, 2, 3, 3]], [1, 2, 3, 3], 3)]:
+        with pytest.raises(ParameterError, match="Vandermonde"):
+            LinearCode(field, gen, d, points)
 
 
 @pytest.mark.parametrize("field, n, m", [
