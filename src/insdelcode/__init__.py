@@ -6,8 +6,7 @@ from .editops import (EditScript, edit_distance, insdel_channel, lcs,
                       min_pairwise_edit_distance)
 from .errors import (CapacityError, ConstructionFailure, DecodeFailure,
                      InsdelError, InvalidSpecError, ParameterError, UsageError)
-from .gf import (BinaryField, Field, FieldElement, PrimeField, field_arith,
-                 field_from_json)
+from .gf import BinaryField, Field, PrimeField, field_from_json
 from .hamming_ecc import (ConcatenatedBinaryCode, LinearCode,
                           concatenated_binary_code, random_generator,
                           random_linear_code, rs_build, systematic_transform)

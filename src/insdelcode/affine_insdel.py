@@ -69,8 +69,10 @@ class AffineCode:
         self.l = self.l_s + self.l0
         self.content_len = self.l + self.l // t
         self.block_len = (t + 2) + self.content_len
+        self.q = 2
         self.n = self.n0 * self.block_len
         self.m = self.m0 * self.l0
+        self.rate = self.m / self.n
         # one insdel corrupts at most two blocks and an erased block costs
         # one unit of the inner budget 2*errors + erasures <= d0 - 1
         self.kappa = kappa if kappa is not None else max(1, (inner.d - 1) // 2)
@@ -84,10 +86,6 @@ class AffineCode:
         self._offset = blocks.ravel()
         self._data_pos = (np.arange(self.n0)[:, None] * self.block_len
                           + t + 2 + self._data_cols).ravel()
-
-    @property
-    def rate(self) -> float:
-        return self.m / self.n
 
     def offset(self) -> np.ndarray:
         """Codeword of the zero message: the affine shift."""
@@ -108,8 +106,16 @@ class AffineCode:
         return parse_blocks(received, self.t)
 
     def decode(self, received: Sequence[int]) -> list[int]:
+        """The message bits: the inverse of encode within kappa insdels."""
+        return _unpack(self._decode_symbols(received), self.l0).ravel().tolist()
+
+    def decode_bits(self, received: Sequence[int]) -> list[int]:
+        """Same as decode; the benchmark's affine workload calls this name."""
+        return self.decode(received)
+
+    def _decode_symbols(self, received: Sequence[int]) -> list[int]:
         """Parse, read sync and data, recover indices, errors-and-erasures
-        decode."""
+        decode: the inner message symbols over GF(2^l0)."""
         received = np.asarray(received, dtype=np.int64)
         if received.size and not np.isin(received, (0, 1)).all():
             raise UsageError("received word must be a bit stream")
@@ -128,9 +134,6 @@ class AffineCode:
             if idx is not None:
                 word[idx] = value
         return self.inner.decode(word, erasures=assignment.erasures)
-
-    def decode_bits(self, received: Sequence[int]) -> list[int]:
-        return _unpack(self.decode(received), self.l0).ravel().tolist()
 
     def to_json(self) -> dict:
         return {"kind": "affine", "epsilon": self.epsilon, "t": self.t,

@@ -6,6 +6,13 @@ build/verify, bounds, experiment run.  Exit status 0 on success, 1 on
 domain failures (decode failure, construction failure, capacity, failed
 experiment assertions), 2 on usage errors.  All randomness flows from
 --seed flags; identical invocations produce identical bytes.
+
+Every code kind reads and writes words over its alphabet code.q, and
+decode inverts encode, so `insdel decode` on an affine spec writes the
+message bits.  `affine encode/decode/corrupt` are the insdel commands with
+bit-stream defaults: raw format, an affine code from --epsilon/--n0/--seed
+when --code is absent (and only affine specs), and insertions drawn from
+{0, 1}.
 """
 
 from __future__ import annotations
@@ -49,6 +56,19 @@ def _add_field_flags(parser) -> None:
                         help="irreducible polynomial bitmask (optional)")
 
 
+def _add_word_flags(parser, fmt: str) -> None:
+    parser.add_argument("--in", dest="infile", required=True)
+    parser.add_argument("--out", required=True)
+    parser.add_argument("--format", default=fmt, choices=["json", "csv", "raw"])
+
+
+def _add_channel_flags(parser, fmt: str) -> None:
+    _add_word_flags(parser, fmt)
+    parser.add_argument("--ins", type=int, default=0)
+    parser.add_argument("--del", type=int, default=0)
+    parser.add_argument("--seed", type=int, required=True)
+
+
 def _load_spec(path, parse, what: str):
     """Read a JSON file and parse it; a spec of the wrong shape fails
     wherever the parser first touches it, so report it as a usage error
@@ -60,15 +80,18 @@ def _load_spec(path, parse, what: str):
         raise InvalidSpecError(f"malformed {what} {path}: {exc}") from exc
 
 
+_CODE_KINDS = {"insdel": InsdelCode, "systematic-insdel": SystematicInsdelCode,
+               "affine": AffineCode}
+
+
 def _parse_code(spec: dict):
-    kind = spec.get("kind")
-    if kind == "insdel":
-        return InsdelCode.from_json(spec)
-    if kind == "systematic-insdel":
-        return SystematicInsdelCode.from_json(spec)
-    if kind == "affine":
-        return AffineCode.from_json(spec)
-    return LinearCode.from_json(spec)
+    """A spec without "kind" is a linear code, as LinearCode.to_json
+    writes it; any other kind must be one of _CODE_KINDS."""
+    if "kind" not in spec:
+        return LinearCode.from_json(spec)
+    if spec["kind"] not in _CODE_KINDS:
+        raise InvalidSpecError(f"unknown code kind {spec['kind']!r}")
+    return _CODE_KINDS[spec["kind"]].from_json(spec)
 
 
 def _load_code(path: str):
@@ -117,8 +140,22 @@ def _cmd_code_build(args) -> int:
     return 0
 
 
-def _cmd_insdel_encode(args) -> int:
+def _code_from_args(args):
+    """The code of --code.  The affine commands take only affine specs,
+    and without --code build the code from --epsilon, --n0 and --seed."""
+    affine = args.group == "affine"
+    if affine and not args.code:
+        if args.epsilon is None or args.n0 is None:
+            raise UsageError("need --code, or --epsilon and --n0")
+        return affine_params(args.epsilon, args.n0, seed=args.seed)
     code = _load_code(args.code)
+    if affine and not isinstance(code, AffineCode):
+        raise UsageError(f"{args.code} is not an affine code spec")
+    return code
+
+
+def _cmd_insdel_encode(args) -> int:
+    code = _code_from_args(args)
     msg = read_values(args.infile, args.format)
     word = code.encode(msg)
     write_values(args.out, list(word), args.format)
@@ -126,64 +163,22 @@ def _cmd_insdel_encode(args) -> int:
 
 
 def _cmd_insdel_decode(args) -> int:
-    code = _load_code(args.code)
+    code = _code_from_args(args)
     word = read_values(args.infile, args.format)
     msg = code.decode(word)
     write_values(args.out, list(msg), args.format)
     return 0
 
 
-def _codeword_alphabet(code) -> int:
-    """Number of symbols a codeword is written in: the channel inserts
-    these."""
-    if isinstance(code, AffineCode):
-        return 2
-    if isinstance(code, SystematicInsdelCode):
-        return code.code.field.q
-    return code.field.q
-
-
 def _cmd_insdel_corrupt(args) -> int:
     if args.code:
-        q = _codeword_alphabet(_load_code(args.code))
+        q = _load_code(args.code).q
     elif args.q:
         q = args.q
     else:
         raise UsageError("--code or --q is required to pick insertion symbols")
     word = read_values(args.infile, args.format)
     out = insdel_channel(word, args.ins, getattr(args, "del"), args.seed, q)
-    write_values(args.out, list(out), args.format)
-    return 0
-
-
-def _affine_code_from_args(args) -> AffineCode:
-    if args.code:
-        code = _load_code(args.code)
-        if not isinstance(code, AffineCode):
-            raise UsageError(f"{args.code} is not an affine code spec")
-        return code
-    if args.epsilon is None or args.n0 is None:
-        raise UsageError("need --code, or --epsilon and --n0")
-    return affine_params(args.epsilon, args.n0, seed=args.seed)
-
-
-def _cmd_affine_encode(args) -> int:
-    code = _affine_code_from_args(args)
-    bits = read_values(args.infile, args.format)
-    write_values(args.out, list(code.encode(bits)), args.format)
-    return 0
-
-
-def _cmd_affine_decode(args) -> int:
-    code = _affine_code_from_args(args)
-    bits = read_values(args.infile, args.format)
-    write_values(args.out, code.decode_bits(bits), args.format)
-    return 0
-
-
-def _cmd_affine_corrupt(args) -> int:
-    bits = read_values(args.infile, args.format)
-    out = insdel_channel(bits, args.ins, getattr(args, "del"), args.seed, 2)
     write_values(args.out, list(out), args.format)
     return 0
 
@@ -355,48 +350,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_insdel = sub.add_parser("insdel", help="encode/decode/corrupt words")
     insdel_sub = p_insdel.add_subparsers(dest="cmd", required=True)
-    for name, fn in (("encode", _cmd_insdel_encode),
-                     ("decode", _cmd_insdel_decode)):
-        pc = insdel_sub.add_parser(name)
-        pc.add_argument("--code", required=True)
-        pc.add_argument("--in", dest="infile", required=True)
-        pc.add_argument("--out", required=True)
-        pc.add_argument("--format", default="json",
-                        choices=["json", "csv", "raw"])
-        pc.set_defaults(func=fn)
+    p_affine = sub.add_parser(
+        "affine", help="the binary affine code (insdel commands on bits)")
+    affine_sub = p_affine.add_subparsers(dest="cmd", required=True)
+    for group, fmt in ((insdel_sub, "json"), (affine_sub, "raw")):
+        for name, fn in (("encode", _cmd_insdel_encode),
+                         ("decode", _cmd_insdel_decode)):
+            pc = group.add_parser(name)
+            pc.add_argument("--code", required=group is insdel_sub)
+            if group is affine_sub:
+                pc.add_argument("--epsilon", type=float)
+                pc.add_argument("--n0", type=int)
+                pc.add_argument("--seed", type=int, default=0)
+            _add_word_flags(pc, fmt)
+            pc.set_defaults(func=fn)
     pc = insdel_sub.add_parser("corrupt")
     pc.add_argument("--code")
     pc.add_argument("--q", type=int)
-    pc.add_argument("--in", dest="infile", required=True)
-    pc.add_argument("--out", required=True)
-    pc.add_argument("--ins", type=int, default=0)
-    pc.add_argument("--del", type=int, default=0)
-    pc.add_argument("--seed", type=int, required=True)
-    pc.add_argument("--format", default="json", choices=["json", "csv", "raw"])
+    _add_channel_flags(pc, "json")
     pc.set_defaults(func=_cmd_insdel_corrupt)
-
-    p_affine = sub.add_parser("affine", help="the binary affine code")
-    affine_sub = p_affine.add_subparsers(dest="cmd", required=True)
-    for name, fn in (("encode", _cmd_affine_encode),
-                     ("decode", _cmd_affine_decode)):
-        pa = affine_sub.add_parser(name)
-        pa.add_argument("--code")
-        pa.add_argument("--epsilon", type=float)
-        pa.add_argument("--n0", type=int)
-        pa.add_argument("--seed", type=int, default=0)
-        pa.add_argument("--in", dest="infile", required=True)
-        pa.add_argument("--out", required=True)
-        pa.add_argument("--format", default="raw",
-                        choices=["json", "csv", "raw"])
-        pa.set_defaults(func=fn)
     pa = affine_sub.add_parser("corrupt")
-    pa.add_argument("--in", dest="infile", required=True)
-    pa.add_argument("--out", required=True)
-    pa.add_argument("--ins", type=int, default=0)
-    pa.add_argument("--del", type=int, default=0)
-    pa.add_argument("--seed", type=int, required=True)
-    pa.add_argument("--format", default="raw", choices=["json", "csv", "raw"])
-    pa.set_defaults(func=_cmd_affine_corrupt)
+    _add_channel_flags(pa, "raw")
+    pa.set_defaults(func=_cmd_insdel_corrupt, code=None, q=2)
     pa = affine_sub.add_parser("params")
     pa.add_argument("--epsilons", required=True,
                     help="comma-separated epsilon grid")

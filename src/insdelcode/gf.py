@@ -2,9 +2,8 @@
 
 Elements are canonical integers: the least non-negative residue for prime
 fields, and the coefficient bitmask of the reduced polynomial (bit i is the
-coefficient of x^i) for binary extension fields.  All code in this package
-passes bare ints plus a Field handle on hot paths; the FieldElement wrapper
-exists for callers that want operator syntax with cross-field checking.
+coefficient of x^i) for binary extension fields.  Code passes bare ints
+plus a Field handle that does the arithmetic; there is no element type.
 
 Extension moduli default to a bundled table of lexicographically smallest
 irreducible polynomials, so codewords are reproducible across runs.
@@ -12,7 +11,6 @@ irreducible polynomials, so codewords are reproducible across runs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 import numpy as np
@@ -248,9 +246,6 @@ class Field:
             out.append(v % self.q if self.kind == "prime" else v & (self.q - 1))
         return out if size is not None else out[0]
 
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(self.check(value), self)
-
     def to_json(self) -> dict:
         return {"kind": self.kind, "q": self.q, "modulus": self.modulus}
 
@@ -438,53 +433,6 @@ class BinaryField(Field):
             a <<= 1
             b >>= 1
         return r
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """Canonical value bound to its field; operators check the binding."""
-
-    value: int
-    field: Field
-
-    def _peer(self, other: "FieldElement") -> "FieldElement":
-        if not isinstance(other, FieldElement):
-            raise UsageError(f"expected FieldElement, got {type(other).__name__}")
-        if other.field != self.field:
-            raise UsageError(
-                f"mixed fields: {self.field} vs {other.field}")
-        return other
-
-    def __add__(self, other):
-        return FieldElement(self.field.add(self.value, self._peer(other).value), self.field)
-
-    def __sub__(self, other):
-        return FieldElement(self.field.sub(self.value, self._peer(other).value), self.field)
-
-    def __mul__(self, other):
-        return FieldElement(self.field.mul(self.value, self._peer(other).value), self.field)
-
-    def __neg__(self):
-        return FieldElement(self.field.neg(self.value), self.field)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field.inv(self.value), self.field)
-
-    def __repr__(self) -> str:
-        return f"{self.value}@{self.field}"
-
-
-def field_arith(op: str, a: FieldElement, b: Optional[FieldElement] = None) -> FieldElement:
-    """Dispatch one arithmetic op; unary ops (neg, inv) take no b."""
-    if op in ("add", "sub", "mul"):
-        if b is None:
-            raise UsageError(f"{op} needs two operands")
-        return {"add": a.__add__, "sub": a.__sub__, "mul": a.__mul__}[op](b)
-    if op == "neg":
-        return -a
-    if op == "inv":
-        return a.inverse()
-    raise UsageError(f"unknown field op {op!r}")
 
 
 def field_from_json(spec: dict) -> Field:

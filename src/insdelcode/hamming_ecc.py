@@ -204,6 +204,8 @@ class LinearCode:
             generator, dtype=np.int64 if field.word_sized else object)
         self.n = n
         self.m = m
+        self.q = field.q
+        self.rate = m / n
         self.d = d
         self.kappa = (d - 1) // 2
         self.eval_points = eval_points
@@ -361,8 +363,14 @@ class LinearCode:
             raise InvalidSpecError(f"unknown decoder strategy {strategy!r}")
         if strategy == "reed-solomon" and points is None:
             raise InvalidSpecError("reed-solomon spec requires eval_points")
-        return cls(field_from_json(spec["field"]), spec["generator"],
+        code = cls(field_from_json(spec["field"]), spec["generator"],
                    int(spec["d"]), points)
+        for key in ("n", "m"):
+            if key in spec and int(spec[key]) != getattr(code, key):
+                raise InvalidSpecError(
+                    f"spec declares {key}={spec[key]} but its generator "
+                    f"gives {key}={getattr(code, key)}")
+        return code
 
 
 def rs_build(field: Field, n: int, m: int,
@@ -467,8 +475,10 @@ class ConcatenatedBinaryCode:
         self.inner_len = len(self.inner_generator[0])
         self.inner_d = inner_d
         self.field = self.gf2
+        self.q = 2
         self.n = outer.n * self.inner_len
         self.m = outer.m * self.b
+        self.rate = self.m / self.n
         self.kappa = -(-inner_d // 2) * ((outer.d - 1) // 2 + 1) - 1
         self.d = 2 * self.kappa + 1
         # row s encodes symbol s: reversing the generator rows makes bit k
@@ -501,14 +511,6 @@ class ConcatenatedBinaryCode:
         for sym in outer_msg:
             bits.extend((sym >> k) & 1 for k in range(self.b))
         return bits
-
-    def generator_rows(self) -> linalg.Matrix:
-        rows = []
-        for i in range(self.m):
-            unit = [0] * self.m
-            unit[i] = 1
-            rows.append(self.encode(unit))
-        return rows
 
     def to_json(self) -> dict:
         return {"strategy": self.strategy, "outer": self.outer.to_json(),

@@ -100,10 +100,12 @@ class InsdelCode:
         self.inner = inner
         self.separator = separator
         self.field = inner.field
+        self.q = inner.q
         self.f = f
         self.kappa = int(f * inner.kappa)
         self.m = inner.m
         self.n = separator.template_length
+        self.rate = self.m / self.n
         self._positions = separator.positions()
 
     @property
@@ -204,13 +206,11 @@ class SystematicInsdelCode:
 
     def __init__(self, code: InsdelCode):
         self.code = code
+        self.q = code.q
         self.m = code.m
         self.n = code.n + code.m
         self.kappa = code.kappa
-
-    @property
-    def rate(self) -> float:
-        return self.m / self.n
+        self.rate = self.m / self.n
 
     def encode(self, x: Sequence[int]) -> np.ndarray:
         body = self.code.encode(x)

@@ -474,8 +474,9 @@ def parse_blocks_reference(received, t):
 
 
 def affine_decode_reference(code, received):
-    """AffineCode.decode with the de-stuffing framing: the message symbols,
-    or DecodeFailure raised by the inner decoder."""
+    """AffineCode.decode with the de-stuffing framing: the message bits
+    (each inner message symbol expanded to l0 bits), or DecodeFailure
+    raised by the inner decoder."""
     from insdelcode.sync_string import index_recovery
 
     readings = []
@@ -496,7 +497,8 @@ def affine_decode_reference(code, received):
         word[idx] = reading[1]
     erasures = [i for i, v in enumerate(word) if v is None]
     filled = [0 if v is None else v for v in word]
-    return code.inner.decode(filled, erasures=erasures)
+    syms = code.inner.decode(filled, erasures=erasures)
+    return [b for s in syms for b in int_to_bits_reference(s, code.l0)]
 
 
 def insdel_channel_reference(z, n_ins, n_del, seed, alphabet):

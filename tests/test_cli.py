@@ -3,9 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from insdelcode.cli import main
+from insdelcode.cli import _load_code, main
 from insdelcode.formats import read_json, read_values, write_json, write_values
+from insdelcode.gf import PrimeField
+from insdelcode.hamming_ecc import rs_build
 from oracles import verify_eta_reference
+
+RS_SPEC = rs_build(PrimeField(7), 6, 2).to_json()
 
 
 def run(*argv):
@@ -197,6 +201,8 @@ def test_experiment_run(tmp_path):
     {"field": {"kind": "prime", "modulus": 5}, "generator": 3, "d": 1},
     {"field": {"kind": "binary", "q": 4, "modulus": 7},
      "generator": [[9, 1]], "d": 1},
+    {**RS_SPEC, "n": 99, "m": 5},
+    {**RS_SPEC, "kind": "bogus"},
 ])
 def test_malformed_code_spec_exits_2(tmp_path, capsys, spec):
     code_file = tmp_path / "code.json"
@@ -269,7 +275,6 @@ def code_specs(tmp_path_factory):
                                      ("systematic", 11), ("affine", 2)])
 def test_insdel_corrupt_draws_from_the_codeword_alphabet(
         tmp_path, capsys, code_specs, kind, q):
-    from insdelcode.cli import _load_code
     code = _load_code(code_specs[kind])
     msg = [1] + [0] * (code.m - 1)
     cw, out = tmp_path / "cw.json", tmp_path / "out.json"
@@ -281,6 +286,46 @@ def test_insdel_corrupt_draws_from_the_codeword_alphabet(
     assert len(word) == code.n + 29
     assert set(word) <= set(range(q))
     assert max(word) >= min(q - 1, 2)  # 30 draws reach past the bits
+
+
+@pytest.mark.parametrize("kind", ["rs", "insdel", "systematic", "affine"])
+def test_insdel_decode_inverts_insdel_encode(tmp_path, code_specs, kind):
+    code = _load_code(code_specs[kind])
+    rng = np.random.default_rng(7)
+    msg = [int(v) for v in rng.integers(0, code.q, code.m)]
+    msg_file, cw, back = (tmp_path / f"{name}.json"
+                          for name in ("msg", "cw", "back"))
+    write_values(msg_file, msg)
+    assert run("insdel", "encode", "--code", code_specs[kind],
+               "--in", msg_file, "--out", cw) == 0
+    assert run("insdel", "decode", "--code", code_specs[kind],
+               "--in", cw, "--out", back) == 0
+    assert read_values(back) == msg
+
+
+def test_affine_commands_are_insdel_commands_on_bit_streams(
+        tmp_path, capsys, code_specs):
+    code = _load_code(code_specs["affine"])
+    msg, cw, back = (tmp_path / f"{name}.raw" for name in ("msg", "cw", "back"))
+    bits = [int(v) for v in np.random.default_rng(8).integers(0, 2, code.m)]
+    write_values(msg, bits, "raw")
+    # the code from its parameters, raw format by default
+    assert run("affine", "encode", "--epsilon", "0.25", "--n0", "8",
+               "--seed", "2", "--in", msg, "--out", cw) == 0
+    assert read_values(cw, "raw") == [int(v) for v in code.encode(bits)]
+    assert run("affine", "corrupt", "--in", cw, "--out", cw, "--ins", "1",
+               "--seed", "4") == 0
+    assert run("insdel", "decode", "--code", code_specs["affine"],
+               "--in", cw, "--out", back, "--format", "raw") == 0
+    assert read_values(back, "raw") == bits
+    capsys.readouterr()
+    # only affine specs, and a code one way or the other
+    assert run("affine", "decode", "--code", code_specs["rs"], "--in", cw,
+               "--out", back) == 2
+    assert "not an affine code spec" in capsys.readouterr().err
+    assert run("affine", "encode", "--n0", "8", "--in", msg,
+               "--out", back) == 2
+    assert "--epsilon and --n0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("experiment", ["decode_success_sweep",

@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from insdelcode.errors import (CapacityError, DecodeFailure, ParameterError,
-                               UsageError)
+from insdelcode.errors import (CapacityError, DecodeFailure,
+                               InvalidSpecError, ParameterError, UsageError)
 from insdelcode.gf import BinaryField, PrimeField
 from insdelcode.hamming_ecc import (ConcatenatedBinaryCode, LinearCode,
                                     _interpolate, _poly_from_roots, _trim,
@@ -386,14 +386,19 @@ def test_systematic_transform_success_rate_and_set_preservation():
         assert orig == new
 
 
+def unit_encodes(code):
+    """Codewords of the unit messages: the rows of a generator."""
+    return [code.encode([int(i == j) for j in range(code.m)])
+            for i in range(code.m)]
+
+
 def test_concatenated_binary_code_roundtrip_and_linearity():
     code = concatenated_binary_code(b=4, n_out=10, m_out=4, inner_len=9,
                                     seed=5)
     assert code.field.q == 2
     assert code.kappa >= 1
     rng = np.random.default_rng(8)
-    gen = code.generator_rows()
-    assert rank(gen, code.gf2) == code.m
+    assert rank(unit_encodes(code), code.gf2) == code.m
     for trial in range(12):
         msg = [int(v) for v in rng.integers(0, 2, code.m)]
         cw = code.encode(msg)
@@ -437,7 +442,7 @@ def test_concatenated_json_round_trip():
     code = concatenated_binary_code(b=3, n_out=7, m_out=3, inner_len=6, seed=0)
     again = ConcatenatedBinaryCode.from_json(code.to_json())
     assert again.to_json() == code.to_json()
-    assert again.generator_rows() == code.generator_rows()
+    assert unit_encodes(again) == unit_encodes(code)
     with pytest.raises(ParameterError):
         ConcatenatedBinaryCode(code.outer, code.inner_generator[:2], 2)
 
@@ -449,6 +454,15 @@ def test_code_json_round_trip():
     assert again.d == code.d and again.strategy == code.strategy
     msg = [1, 7, 3]
     assert again.encode(msg) == code.encode(msg)
+
+
+@pytest.mark.parametrize("key, value", [("n", 99), ("m", 5)])
+def test_code_spec_declaring_other_dimensions_is_rejected(key, value):
+    spec = rs_build(PrimeField(7), 6, 2).to_json()
+    assert LinearCode.from_json(dict(spec)).n == 6
+    spec[key] = value
+    with pytest.raises(InvalidSpecError, match=f"declares {key}={value}"):
+        LinearCode.from_json(spec)
 
 
 def test_generator_rank_enforced():
